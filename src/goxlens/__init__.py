@@ -8,103 +8,77 @@ generators in `synth`. The `goxlens` console script exposes the same stages
 as batch subcommands.
 """
 
-from .detect import FlaggedLedger, TimeWindow, flag_wash
-from .errors import (
-    AnalysisAbort,
-    DataError,
-    DegenerateSeriesError,
-    GoxlensError,
-    PairingError,
-    SchemaError,
-    SingularityError,
-    StationarityError,
-    TrainingDivergence,
-)
-from .features import (
-    AssetBarSeries,
-    Bar,
-    BarSeries,
-    QuartileLabel,
-    SupplyCurve,
-    WeeklyBucket,
-    build_asset_bars,
-    build_bars,
-    daily_quartiles,
-    daily_sums,
-    filter_stationary_weeks,
-    interpolate_supply,
-    marketcap_share,
-    weekly_rollup,
-)
-from .ingest import (
-    AuxSeries,
-    PairedTrade,
-    TradeLedger,
-    pair_and_dedup,
-    parse_aux,
-    parse_trade_log,
-    write_canonical_csv,
-)
-from .studies import (
-    EventConfig,
-    ReportTable,
-    StudyReport,
-    study_cross_asset,
-    study_event,
-    study_market,
-    study_media,
-    study_onchain,
-    study_timing,
-)
-from .synth import SynthSpec, gen_cointegrated_pair, gen_exchange_log, gen_var_process
+import importlib
+
+# public name -> submodule; each submodule is imported the first time one of
+# its names is read (PEP 562), so `import goxlens.cli` does not pull in the
+# studies, the models or scipy.stats
+_SOURCES = {
+    "detect": ("FlaggedLedger", "TimeWindow", "flag_wash"),
+    "errors": (
+        "AnalysisAbort",
+        "DataError",
+        "DegenerateSeriesError",
+        "GoxlensError",
+        "PairingError",
+        "SchemaError",
+        "SingularityError",
+        "StationarityError",
+        "TrainingDivergence",
+    ),
+    "features": (
+        "AssetBarSeries",
+        "Bar",
+        "BarSeries",
+        "QuartileLabel",
+        "SupplyCurve",
+        "WeeklyBucket",
+        "build_asset_bars",
+        "build_bars",
+        "daily_quartiles",
+        "daily_sums",
+        "filter_stationary_weeks",
+        "interpolate_supply",
+        "marketcap_share",
+        "weekly_rollup",
+    ),
+    "ingest": (
+        "AuxSeries",
+        "PairedTrade",
+        "TradeLedger",
+        "pair_and_dedup",
+        "parse_aux",
+        "parse_trade_log",
+        "write_canonical_csv",
+    ),
+    "studies": (
+        "EventConfig",
+        "ReportTable",
+        "StudyReport",
+        "study_cross_asset",
+        "study_event",
+        "study_market",
+        "study_media",
+        "study_onchain",
+        "study_timing",
+    ),
+    "synth": ("SynthSpec", "gen_cointegrated_pair", "gen_exchange_log", "gen_var_process"),
+}
+_SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisAbort",
-    "AssetBarSeries",
-    "AuxSeries",
-    "Bar",
-    "BarSeries",
-    "DataError",
-    "DegenerateSeriesError",
-    "EventConfig",
-    "FlaggedLedger",
-    "GoxlensError",
-    "PairedTrade",
-    "PairingError",
-    "QuartileLabel",
-    "ReportTable",
-    "SchemaError",
-    "SingularityError",
-    "StationarityError",
-    "StudyReport",
-    "SupplyCurve",
-    "SynthSpec",
-    "TimeWindow",
-    "TradeLedger",
-    "TrainingDivergence",
-    "WeeklyBucket",
-    "build_asset_bars",
-    "build_bars",
-    "daily_quartiles",
-    "daily_sums",
-    "filter_stationary_weeks",
-    "flag_wash",
-    "gen_cointegrated_pair",
-    "gen_exchange_log",
-    "gen_var_process",
-    "interpolate_supply",
-    "marketcap_share",
-    "pair_and_dedup",
-    "parse_aux",
-    "parse_trade_log",
-    "study_cross_asset",
-    "study_event",
-    "study_market",
-    "study_media",
-    "study_onchain",
-    "study_timing",
-    "weekly_rollup",
-    "write_canonical_csv",
-]
+__all__ = sorted(_SOURCE_OF)
+
+
+def __getattr__(name):
+    module = _SOURCE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,19 +45,13 @@ from .ingest import (
     parse_ts,
     write_canonical_csv,
 )
-from .ml import importance_report
-from .studies import (
-    EventConfig,
-    StudyReport,
-    study_cross_asset,
-    study_event,
-    study_market,
-    study_media,
-    study_onchain,
-    study_timing,
-    train_model_suite,
-)
 from .synth import SynthSpec, gen_cointegrated_pair, gen_exchange_log, gen_var_process
+
+if TYPE_CHECKING:
+    from .studies import StudyReport
+
+# The studies and models (with scipy.stats behind them) are imported inside
+# the commands that use them, so ingest, detect and bars start without them.
 
 log = logging.getLogger(__name__)
 
@@ -78,10 +72,17 @@ class _Parser(argparse.ArgumentParser):
 # --- atomic, byte-stable output ---------------------------------------------
 
 def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # Each write gets a temp file of its own, created exclusively, so two runs
+    # into one directory never share one. (mkstemp would make it mode 0600.)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _jsonable(v):
@@ -115,7 +116,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _emit_report(report: StudyReport, out: Path) -> None:
+def _emit_report(report: "StudyReport", out: Path) -> None:
     _write_json(out / "report.json", report.to_dict())
     for name, table in report.tables.items():
         buf = io.StringIO()
@@ -248,6 +249,16 @@ def cmd_bars(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .studies import (
+        EventConfig,
+        study_cross_asset,
+        study_event,
+        study_market,
+        study_media,
+        study_onchain,
+        study_timing,
+    )
+
     out = _out_dir(args)
     bars = _load_bars(args)
     study = args.study
@@ -303,6 +314,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ml(args) -> int:
+    from .ml import importance_report
+    from .studies import train_model_suite
+
     out = _out_dir(args)
     bars = _load_bars(args)
     _ds, models = train_model_suite(
@@ -404,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="internal parallelism cap (default: logical cores)",
+            help="worker processes for the model families (default: logical cores)",
         )
 
     p = sub.add_parser("ingest", help="parse a raw trade log into canonical half rows")

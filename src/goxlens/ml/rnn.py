@@ -7,6 +7,11 @@ graph and hence its own analytic input gradient, which is what the
 importance convention below needs. A single recurrent layer feeds a linear
 head; training is plain mini-batch gradient descent on squared error.
 
+Gate parameters are stacked: all input projections are computed before the
+time loop, each step does one recurrent matmul (the GRU two, as its candidate
+sees r*h), and the weight gradients are formed after the backward loop from
+the stored gate gradients (Appleyard et al., arXiv 1604.01946).
+
 Importance = mean absolute d(prediction)/d(input) over the test rows, in the
 raw feature/target scale. This is a magnitude convention of ours; rankings,
 not signed values, are what get compared across model families.
@@ -17,146 +22,138 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from ..errors import DataError, TrainingDivergence
 from .dataset import LaggedDataset
 
 MIN_RNN_TRAIN_ROWS = 200
 
+# Full-set passes (epoch and final loss, test-set input gradients) run in row
+# blocks. Rows are independent; small blocks keep every matmul on one BLAS
+# thread and keep the per-step cache from setting the process's peak memory.
+BLOCK_ROWS = 256
+
+GATES = {"gru": "zrc", "lstm": "ifog"}
+
+
+def _blocks(X):
+    return [X[lo : lo + BLOCK_ROWS] for lo in range(0, len(X), BLOCK_ROWS)]
+
+
+def _sum_steps_rows(a, b):
+    """Sum over steps t of a[t] @ b[t].T, rows being the last axis. One small
+    matmul per step: a single one over all steps would wake BLAS threads."""
+    return (a @ b.swapaxes(1, 2)).sum(axis=0)
+
 
 class RecurrentNet:
-    """The bare network over standardized inputs; parameters in a dict."""
+    """The bare network over standardized inputs.
+
+    `params` holds the gate parameters stacked in GATES order along the last
+    axis, Wx (G*H,), Wh (H, G*H) and b (G*H,), and the linear head Wy (H,)
+    and by (1,). Every gate but the last is a sigmoid; the last is a tanh.
+    """
 
     def __init__(self, cell: str, n_steps: int, hidden: int, seed: int):
-        if cell not in ("gru", "lstm"):
+        if cell not in GATES:
             raise DataError(f"unknown cell {cell!r}; expected gru or lstm")
-        self.cell = cell
-        self.n_steps = n_steps
-        self.hidden = hidden
+        self.cell, self.n_steps, self.hidden = cell, n_steps, hidden
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        r = 1.0 / np.sqrt(hidden)
-        H = hidden
-
-        def u(*shape):
-            return rng.uniform(-r, r, size=shape)
-
-        p: dict[str, np.ndarray] = {}
-        gates = ("z", "r", "c") if cell == "gru" else ("i", "f", "o", "g")
-        for g in gates:
-            p[f"Wx{g}"] = u(1, H)
-            p[f"Wh{g}"] = u(H, H)
-            p[f"b{g}"] = np.zeros(H)
+        r, H, G = 1.0 / np.sqrt(hidden), hidden, len(GATES[cell])
+        Wx, Wh = np.empty(G * H), np.empty((H, G * H))
+        for k in range(G):  # draws go gate by gate: that gate's Wx, then its Wh
+            Wx[k * H : (k + 1) * H] = rng.uniform(-r, r, size=H)
+            Wh[:, k * H : (k + 1) * H] = rng.uniform(-r, r, size=(H, H))
+        b = np.zeros(G * H)
         if cell == "lstm":
-            p["bf"] = np.ones(H)  # open forget gate at init
-        p["Wy"] = u(H)
-        p["by"] = np.zeros(1)
-        self.params = p
-
-    # -- forward ---------------------------------------------------------
+            b[H : 2 * H] = 1.0  # open forget gate at init
+        self.params = {"Wx": Wx, "Wh": Wh, "b": b, "Wy": rng.uniform(-r, r, size=H),
+                       "by": np.zeros(1)}
 
     def forward(self, X: np.ndarray):
-        """X: (B, n_steps) standardized. Returns (yhat (B,), cache)."""
-        p = self.params
-        B = X.shape[0]
-        H = self.hidden
-        h = np.zeros((B, H))
-        steps = []
+        """X: (B, n_steps) standardized. Returns (yhat (B,), cache); per-step
+        arrays are (G*H, B) and (H, B), rows last, so each gate is contiguous."""
+        p, H = self.params, self.hidden
+        S = p["b"].size - H  # the sigmoid gates' rows come first
+        # sigmoid(u) = 0.5 * tanh(u / 2) + 0.5: halving the sigmoid gates'
+        # parameters is exact, and one tanh then serves all gates at once
+        half = np.repeat([0.5, 1.0], [S, H])
+        WhT = (p["Wh"] * half).T
+        # acts[t]: step t's input projection plus bias, one matmul over [x; 1]
+        # for all steps; overwritten in place by the gate values
+        x1 = np.stack([X.T, np.ones_like(X.T)], axis=1)
+        acts = (np.stack([p["Wx"], p["b"]], axis=1) * half[:, None]) @ x1
+        hs = np.zeros((self.n_steps + 1, H, len(X)))
         if self.cell == "gru":
+            extra = np.empty_like(hs[1:])  # r * h, the candidate's recurrent input
             for t in range(self.n_steps):
-                x = X[:, t : t + 1]
-                z = sigmoid(x @ p["Wxz"] + h @ p["Whz"] + p["bz"])
-                r_ = sigmoid(x @ p["Wxr"] + h @ p["Whr"] + p["br"])
-                c = np.tanh(x @ p["Wxc"] + (r_ * h) @ p["Whc"] + p["bc"])
-                h_new = (1.0 - z) * h + z * c
-                steps.append((x, h, z, r_, c))
-                h = h_new
+                a, h = acts[t], hs[t]
+                zr = a[:S]
+                zr += WhT[:S] @ h
+                np.tanh(zr, out=zr)
+                np.add(zr * 0.5, 0.5, out=zr)
+                np.multiply(a[H:S], h, out=extra[t])
+                c = a[S:]
+                c += WhT[S:] @ extra[t]
+                np.tanh(c, out=c)
+                np.multiply(a[:H], c - h, out=hs[t + 1])
+                hs[t + 1] += h
         else:
-            cstate = np.zeros((B, H))
+            extra = np.zeros_like(hs)  # cell states
             for t in range(self.n_steps):
-                x = X[:, t : t + 1]
-                i = sigmoid(x @ p["Wxi"] + h @ p["Whi"] + p["bi"])
-                f = sigmoid(x @ p["Wxf"] + h @ p["Whf"] + p["bf"])
-                o = sigmoid(x @ p["Wxo"] + h @ p["Who"] + p["bo"])
-                g = np.tanh(x @ p["Wxg"] + h @ p["Whg"] + p["bg"])
-                c_new = f * cstate + i * g
-                tanh_c = np.tanh(c_new)
-                steps.append((x, h, cstate, i, f, o, g, tanh_c))
-                h = o * tanh_c
-                cstate = c_new
-        yhat = h @ p["Wy"] + p["by"][0]
-        return yhat, (steps, h)
-
-    # -- backward --------------------------------------------------------
+                a = acts[t]
+                a += WhT @ hs[t]
+                np.tanh(a, out=a)
+                np.add(a[:S] * 0.5, 0.5, out=a[:S])
+                np.multiply(a[H : 2 * H], extra[t], out=extra[t + 1])
+                extra[t + 1] += a[:H] * a[S:]
+                np.multiply(a[2 * H : S], np.tanh(extra[t + 1]), out=hs[t + 1])
+        yhat = p["Wy"] @ hs[-1] + p["by"][0]
+        return yhat, (X, hs, acts, extra)
 
     def backward(self, cache, dyhat: np.ndarray):
         """Gradients of sum(dyhat * yhat) w.r.t. params and inputs."""
-        p = self.params
-        steps, h_last = cache
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        grads["Wy"] = h_last.T @ dyhat
-        grads["by"] = np.array([dyhat.sum()])
-        dh = dyhat[:, None] * p["Wy"][None, :]
-        dX = np.empty((len(dyhat), self.n_steps))
+        p, H, Wh = self.params, self.hidden, self.params["Wh"]
+        X, hs, acts, extra = cache
+        S = acts.shape[1] - H
+        deriv = acts * (1.0 - acts)  # each gate's local derivative, all steps
+        deriv[:, S:] = 1.0 - acts[:, S:] ** 2
+        dpre = np.empty_like(acts)  # gate pre-activation gradients, all steps
+        dh = np.outer(p["Wy"], dyhat)
 
         if self.cell == "gru":
             for t in range(self.n_steps - 1, -1, -1):
-                x, h_prev, z, r_, c = steps[t]
-                dz = dh * (c - h_prev)
-                dc = dh * z
-                dh_prev = dh * (1.0 - z)
-                dc_pre = dc * (1.0 - c * c)
-                grads["Wxc"] += x.T @ dc_pre
-                grads["Whc"] += (r_ * h_prev).T @ dc_pre
-                grads["bc"] += dc_pre.sum(axis=0)
-                drh = dc_pre @ p["Whc"].T
-                dr = drh * h_prev
-                dh_prev += drh * r_
-                dr_pre = dr * r_ * (1.0 - r_)
-                dz_pre = dz * z * (1.0 - z)
-                grads["Wxr"] += x.T @ dr_pre
-                grads["Whr"] += h_prev.T @ dr_pre
-                grads["br"] += dr_pre.sum(axis=0)
-                grads["Wxz"] += x.T @ dz_pre
-                grads["Whz"] += h_prev.T @ dz_pre
-                grads["bz"] += dz_pre.sum(axis=0)
-                dh_prev += dr_pre @ p["Whr"].T + dz_pre @ p["Whz"].T
-                dx = dc_pre @ p["Wxc"].T + dr_pre @ p["Wxr"].T + dz_pre @ p["Wxz"].T
-                dX[:, t] = dx[:, 0]
-                dh = dh_prev
+                a, d, h = acts[t], dpre[t], hs[t]
+                np.multiply(dh, a[:H], out=d[S:])
+                d[S:] *= deriv[t, S:]
+                drh = Wh[:, S:] @ d[S:]
+                np.multiply(drh, h, out=d[H:S])
+                np.subtract(a[S:], h, out=d[:H])
+                d[:H] *= dh
+                d[:S] *= deriv[t, :S]
+                dh = dh * (1.0 - a[:H]) + drh * a[H:S] + Wh[:, :S] @ d[:S]
+            # z and r see h through Wh, the candidate sees r * h
+            dWh = np.concatenate([_sum_steps_rows(hs[:-1], dpre[:, :S]),
+                                  _sum_steps_rows(extra, dpre[:, S:])], axis=1)
         else:
+            tanh_c = np.tanh(extra[1:])
+            dh_dc = acts[:, 2 * H : S] * (1.0 - tanh_c**2)
             dc = np.zeros_like(dh)
             for t in range(self.n_steps - 1, -1, -1):
-                x, h_prev, c_prev, i, f, o, g, tanh_c = steps[t]
-                do = dh * tanh_c
-                dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-                di = dc * g
-                dg = dc * i
-                df = dc * c_prev
-                dc_next = dc * f
-                di_pre = di * i * (1.0 - i)
-                df_pre = df * f * (1.0 - f)
-                do_pre = do * o * (1.0 - o)
-                dg_pre = dg * (1.0 - g * g)
-                for name, pre in (("i", di_pre), ("f", df_pre), ("o", do_pre), ("g", dg_pre)):
-                    grads[f"Wx{name}"] += x.T @ pre
-                    grads[f"Wh{name}"] += h_prev.T @ pre
-                    grads[f"b{name}"] += pre.sum(axis=0)
-                dh = (
-                    di_pre @ p["Whi"].T
-                    + df_pre @ p["Whf"].T
-                    + do_pre @ p["Who"].T
-                    + dg_pre @ p["Whg"].T
-                )
-                dx = (
-                    di_pre @ p["Wxi"].T
-                    + df_pre @ p["Wxf"].T
-                    + do_pre @ p["Wxo"].T
-                    + dg_pre @ p["Wxg"].T
-                )
-                dX[:, t] = dx[:, 0]
-                dc = dc_next
-        return grads, dX
+                a, d = acts[t], dpre[t]
+                dc += dh * dh_dc[t]
+                np.multiply(dc, a[S:], out=d[:H])
+                np.multiply(dc, extra[t], out=d[H : 2 * H])
+                np.multiply(dh, tanh_c[t], out=d[2 * H : S])
+                np.multiply(dc, a[:H], out=d[S:])
+                d *= deriv[t]
+                dc *= a[H : 2 * H]
+                dh = Wh @ d
+            dWh = _sum_steps_rows(hs[:-1], dpre)
+
+        grads = {"Wx": _sum_steps_rows(X.T[:, None], dpre)[0], "Wh": dWh, "b": dpre.sum(axis=(0, 2)),
+                 "Wy": hs[-1] @ dyhat, "by": np.array([dyhat.sum()])}
+        return grads, (p["Wx"] @ dpre).T
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """Mean squared error and its parameter gradients (standardized units)."""
@@ -167,11 +164,16 @@ class RecurrentNet:
         grads, _ = self.backward(cache, dyhat)
         return loss, grads
 
+    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Mean squared error from forward passes alone, in row blocks."""
+        err = np.concatenate([self.forward(Xb)[0] for Xb in _blocks(X)]) - y
+        return float(err @ err) / len(y)
+
     def input_grads(self, X: np.ndarray) -> np.ndarray:
         """d(yhat)/d(X) per row, standardized units; (B, n_steps)."""
-        _, cache = self.forward(X)
-        _, dX = self.backward(cache, np.ones(X.shape[0]))
-        return dX
+        return np.concatenate(
+            [self.backward(self.forward(Xb)[1], np.ones(len(Xb)))[1] for Xb in _blocks(X)]
+        )
 
 
 @dataclass
@@ -208,9 +210,8 @@ def train_rnn(
     """
     if ds.split < MIN_RNN_TRAIN_ROWS:
         raise DataError(f"need >= {MIN_RNN_TRAIN_ROWS} training rows, got {ds.split}")
-    ss_init, ss_shuffle = np.random.SeedSequence(seed).spawn(2)
     net = RecurrentNet(cell, ds.n_features, hidden, seed)
-    shuffle_rng = np.random.default_rng(ss_shuffle)
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
     x_mean = ds.X_train.mean(axis=0)
     x_std = ds.X_train.std(axis=0)
@@ -224,7 +225,7 @@ def train_rnn(
     trace: list[float] = []
     initial = None
     for _epoch in range(epochs):
-        loss, _ = net.loss_and_grads(Xs, ys)
+        loss = net.loss(Xs, ys)
         trace.append(loss)
         if initial is None:
             initial = loss if loss > 0 else 1.0
@@ -238,11 +239,9 @@ def train_rnn(
             _, grads = net.loss_and_grads(Xs[rows], ys[rows])
             for k, g in grads.items():
                 net.params[k] -= learning_rate * g
-    final_loss, _ = net.loss_and_grads(Xs, ys)
-    trace.append(final_loss)
+    trace.append(net.loss(Xs, ys))
 
-    Xt = (ds.X_test - x_mean) / x_std
-    dX = net.input_grads(Xt)
+    dX = net.input_grads((ds.X_test - x_mean) / x_std)
     importances = np.mean(np.abs(dX), axis=0) * y_std / x_std
     return RnnModel(
         family=cell,

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -214,23 +216,51 @@ def _seed_words(seed: int, n: int) -> list[int]:
     return [int(w) for w in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
+# Model families in report order, and the order the worker pool takes them:
+# longest first, so the recurrent fits start at once and the short ones fill in.
+_FAMILIES = ("tree", "forest", "gradient_second_order", "adaboost_regression", "gru", "lstm")
+_LONGEST_FIRST = ("lstm", "gru", "gradient_second_order", "adaboost_regression", "forest", "tree")
+
+
+def _fit_family(ds, family: str, seed: int):
+    """Train one model family; module level, so a worker process can run it.
+
+    The forest runs on one thread, so a worker starts no pool of its own.
+    """
+    if family == "tree":
+        return train_tree(ds)
+    if family == "forest":
+        return train_forest(ds, seed=seed, threads=1)
+    if family in ("gru", "lstm"):
+        return train_rnn(ds, family, seed=seed)
+    return train_boost(ds, family, seed=seed)
+
+
 def train_model_suite(series, lags, seed: int, threads: int = 1, target: str = "wash"):
     """Build the lagged dataset and train all six model families.
 
     The placebo column and each stochastic trainer get their own sub-seed
     derived from `seed`, so one integer pins the whole suite. Returns
     (dataset, models) with the models in a fixed family order.
+
+    With threads > 1 and the fork start method available, the families train
+    in up to `threads` forked worker processes, which inherit the loaded
+    modules. Forking is safe only while no other thread runs, as in the CLI;
+    a caller with threads of its own should pass threads=1. Each family's
+    result depends only on its sub-seed, so the models are the same for every
+    `threads`. A family's error reaches the caller with its own type; when
+    several fail, the first in report order is raised.
     """
     words = _seed_words(seed, 6)
     ds = build_lagged(series, lags, seed=words[0], target=target)
-    models = [
-        train_tree(ds),
-        train_forest(ds, seed=words[1], threads=threads),
-        train_boost(ds, "gradient_second_order", seed=words[2]),
-        train_boost(ds, "adaboost_regression", seed=words[3]),
-        train_rnn(ds, "gru", seed=words[4]),
-        train_rnn(ds, "lstm", seed=words[5]),
-    ]
+    seeds = dict(zip(_FAMILIES, [0, *words[1:]]))  # the tree draws nothing
+    if threads > 1 and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(min(threads, len(_FAMILIES)), mp_context=context) as pool:
+            jobs = {fam: pool.submit(_fit_family, ds, fam, seeds[fam]) for fam in _LONGEST_FIRST}
+            models = [jobs[fam].result() for fam in _FAMILIES]
+    else:
+        models = [_fit_family(ds, fam, seeds[fam]) for fam in _FAMILIES]
     return ds, models
 
 
@@ -318,6 +348,14 @@ def study_timing(
         notes.append(f"{fam}: features below placebo: {below}")
     notes.append(
         "recurrent importances are mean absolute prediction gradients over the test rows"
+    )
+    traces = {m.family: m.loss_trace for m in models if m.family in ("gru", "lstm")}
+    loss_table = ReportTable("rnn_loss", list(traces))
+    for epoch, losses in enumerate(zip(*traces.values())):
+        loss_table.add(f"epoch={epoch}", dict(zip(traces, losses)))
+    tables["rnn_loss"] = loss_table
+    notes.append(
+        "rnn_loss: standardized training-set mean squared error before each epoch, then final"
     )
 
     data = bars.matrix()

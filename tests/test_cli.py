@@ -1,11 +1,12 @@
 import json
 import shutil
 import subprocess
+import threading
 
 import numpy as np
 import pytest
 
-from goxlens.cli import main
+from goxlens.cli import _write_text, main
 from goxlens.features import BarSeries
 from goxlens.ingest import DAY, fmt_ts, parse_date, parse_trade_log
 
@@ -198,6 +199,49 @@ def test_analyze_timing_writes_stable_report(noise_bars_csv, tmp_path):
         assert (a / f"{name}.csv").is_file()
         assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
     assert not list(a.glob("*.tmp"))
+
+
+def test_analyze_timing_output_does_not_depend_on_threads(noise_bars_csv, tmp_path):
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        code = run(
+            "analyze", "timing",
+            "--bars", str(noise_bars_csv),
+            "--lags", "1",
+            "--seed", "5",
+            "--threads", threads,
+            "--out", str(out),
+        )
+        assert code == 0
+        outs[threads] = dir_bytes(out)
+    assert outs["1"] == outs["2"]
+    rows = outs["1"]["rnn_loss.csv"].decode().splitlines()
+    assert rows[0] == "row,gru,lstm"
+    assert [r.split(",")[0] for r in rows[1:]] == [f"epoch={e}" for e in range(21)]
+
+
+def test_concurrent_writes_to_one_path_leave_one_whole_file(tmp_path):
+    target = tmp_path / "report.json"
+    texts = [letter * 400_000 + "\n" for letter in "ab"]
+    errors = []
+
+    def write_many(text):
+        try:
+            for _ in range(25):
+                _write_text(target, text)
+        except OSError as e:
+            errors.append(e)
+
+    writers = [threading.Thread(target=write_many, args=(text,)) for text in texts]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in writers)
+    assert errors == []
+    assert target.read_text() in texts
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 def test_analyze_timing_requires_seed(noise_bars_csv, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from goxlens.errors import DataError, TrainingDivergence
 from goxlens.ml import MIN_RNN_TRAIN_ROWS, RecurrentNet, build_lagged, train_rnn
+from goxlens.ml.rnn import BLOCK_ROWS
 
 CELLS = ("gru", "lstm")
 
@@ -63,6 +64,19 @@ def test_input_gradients_match_finite_differences(cell):
             down, _ = net.forward(bumped)
             fd = (up[r] - down[r]) / (2.0 * h)
             assert _rel_err(fd, dX[r, t]) < 1e-4
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_blocked_passes_match_one_whole_pass(cell):
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((600, 5))
+    y = rng.standard_normal(600)
+    assert len(X) > 2 * BLOCK_ROWS
+    net = RecurrentNet(cell=cell, n_steps=5, hidden=6, seed=2)
+    yhat, cache = net.forward(X)
+    _, dX = net.backward(cache, np.ones(len(X)))
+    np.testing.assert_allclose(net.loss(X, y), np.mean((yhat - y) ** 2), rtol=1e-12)
+    np.testing.assert_allclose(net.input_grads(X), dX, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -133,6 +147,28 @@ def test_short_training_split_rejected():
     assert ds.split < MIN_RNN_TRAIN_ROWS
     with pytest.raises(DataError):
         train_rnn(ds, "gru", hidden=4, seed=0)
+
+
+# Loss traces of _planted_ds(0), seed=3, epochs=8, as trained by the earlier
+# per-gate kernels (one weight matrix per gate, full-batch loss passes).
+PER_GATE_TRACES = {
+    "gru": [
+        1.0558655413608424, 1.0340762191247934, 1.0145483684733312,
+        0.9965341919184378, 0.9799020297473732, 0.9646213659618907,
+        0.9502536931350434, 0.9364879216313162, 0.9237055233179231,
+    ],
+    "lstm": [
+        0.9339622732532572, 0.9278040721127653, 0.9215884187911413,
+        0.915154876707679, 0.908581086895526, 0.9019302531573796,
+        0.895151848328433, 0.8881364123385498, 0.8810958039771738,
+    ],
+}
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_loss_trace_matches_the_per_gate_kernels(cell):
+    model = train_rnn(_planted_ds(0), cell, seed=3, epochs=8)
+    np.testing.assert_allclose(model.loss_trace, PER_GATE_TRACES[cell], rtol=1e-12, atol=0.0)
 
 
 def test_loss_trace_has_one_entry_per_epoch_plus_final():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import goxlens
 
 
@@ -20,3 +24,27 @@ def test_subpackages_import():
     assert callable(goxlens.cli.main)
     assert callable(goxlens.econometrics.adf)
     assert callable(goxlens.ml.train_tree)
+
+
+def test_cli_import_leaves_studies_and_scipy_stats_unloaded():
+    # the studies pull in scipy.stats (about a second); ingest, detect and
+    # bars must not pay for it
+    src = os.path.dirname(os.path.dirname(goxlens.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, goxlens.cli; "
+        "print([m for m in ('scipy.stats', 'goxlens.studies') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_lazy_names_import_by_name():
+    from goxlens import GoxlensError, study_timing
+
+    assert callable(study_timing)
+    assert issubclass(GoxlensError, Exception)
+    assert set(goxlens.__all__) <= set(dir(goxlens))

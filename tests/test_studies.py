@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from goxlens.econometrics import granger, irf, var_fit
-from goxlens.errors import AnalysisAbort, DataError, StationarityError
+from goxlens import studies
+from goxlens.errors import AnalysisAbort, DataError, StationarityError, TrainingDivergence
 from goxlens.features import (
     ASSET_COLUMNS,
     STUDY_SERIES,
@@ -75,8 +76,11 @@ def test_timing_constructed_dependence():
 
     rep = study_timing(bars, seed=0)
     assert set(rep.tables) == {
-        "adf", "importance", "importance_rank", "johansen", "granger", "irf"
+        "adf", "importance", "importance_rank", "johansen", "granger", "irf", "rnn_loss"
     }
+    loss = rep.tables["rnn_loss"]
+    assert loss.columns == ["gru", "lstm"]
+    assert [label for label, _ in loss.rows] == [f"epoch={e}" for e in range(21)]
     irf_table = rep.tables["irf"]
     labels = [label for label, _ in irf_table.rows]
     assert labels == [f"h={h}" for h in range(1, 11)] + ["sum", "n"]
@@ -129,14 +133,40 @@ def test_timing_stationarity_gate():
 
 
 def test_model_suite_is_seed_deterministic():
+    # in process, then across two worker processes: the same models
     bars = _positive_noise_bars(11, n=330)
     series = bars.series_map()
-    ds_a, models_a = train_model_suite(series, (1,), seed=9)
-    ds_b, models_b = train_model_suite(series, (1,), seed=9)
+    ds_a, models_a = train_model_suite(series, (1,), seed=9, threads=1)
+    ds_b, models_b = train_model_suite(series, (1,), seed=9, threads=2)
     np.testing.assert_array_equal(ds_a.X, ds_b.X)
     assert [m.family for m in models_a] == FAMILIES
+    assert [m.family for m in models_b] == FAMILIES
     for ma, mb in zip(models_a, models_b):
         np.testing.assert_array_equal(ma.importances, mb.importances)
+    for ma, mb in zip(models_a[4:], models_b[4:]):
+        assert ma.loss_trace == mb.loss_trace
+        for key in ma.net.params:
+            np.testing.assert_array_equal(ma.net.params[key], mb.net.params[key])
+
+
+def test_model_suite_worker_errors_keep_their_type(monkeypatch):
+    series = _positive_noise_bars(11, n=330).series_map()
+
+    def diverging(ds, cell, seed):
+        raise TrainingDivergence(f"{cell} training diverged at epoch 1", [1.0, 2e3])
+
+    monkeypatch.setattr(studies, "train_rnn", diverging)
+    with pytest.raises(TrainingDivergence) as exc:
+        train_model_suite(series, (1,), seed=9, threads=2)
+    assert exc.value.trace == [1.0, 2e3]
+    assert "gru" in str(exc.value)  # the first failing family in report order
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_model_suite_short_split_is_a_data_error(threads):
+    series = _positive_noise_bars(11, n=150).series_map()
+    with pytest.raises(DataError, match="training rows"):
+        train_model_suite(series, (1,), seed=9, threads=threads)
 
 
 # --- onchain --------------------------------------------------------------
