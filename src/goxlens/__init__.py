@@ -28,7 +28,6 @@ _SOURCES = {
     ),
     "features": (
         "AssetBarSeries",
-        "Bar",
         "BarSeries",
         "QuartileLabel",
         "SupplyCurve",

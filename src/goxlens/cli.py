@@ -85,6 +85,12 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
+def _write_csv(path: Path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write_text(path, buf.getvalue())
+
+
 def _jsonable(v):
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
@@ -211,20 +217,22 @@ def cmd_ingest(args) -> int:
 def cmd_detect(args) -> int:
     out = _out_dir(args)
     flagged, ledger, parsed = _load_flagged(args)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["buyer", "seller", "timestamp", "bitcoins", "money"])
-    for t in flagged.wash_trades():
-        w.writerow(
-            [
-                t.buyer,
-                t.seller,
-                fmt_ts(t.ts),
-                format_scaled(t.bitcoins_e8, BTC_DECIMALS),
-                format_scaled(t.money_e5, MONEY_DECIMALS),
-            ]
-        )
-    _write_text(out / "wash_trades.csv", buf.getvalue())
+    _write_csv(
+        out / "wash_trades.csv",
+        [
+            ["buyer", "seller", "timestamp", "bitcoins", "money"],
+            *(
+                [
+                    t.buyer,
+                    t.seller,
+                    fmt_ts(t.ts),
+                    format_scaled(t.bitcoins_e8, BTC_DECIMALS),
+                    format_scaled(t.money_e5, MONEY_DECIMALS),
+                ]
+                for t in flagged.wash_trades()
+            ),
+        ],
+    )
     _write_json(
         out / "detect.json",
         {
@@ -292,12 +300,10 @@ def cmd_analyze(args) -> int:
         report = study_cross_asset(bars, assets)
     elif study == "media":
         weekly, dropped = filter_stationary_weeks(weekly_rollup(bars))
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["week_start", "series", "reason"])
-        for wk, series, reason in dropped:
-            w.writerow([fmt_date(wk), series, reason])
-        _write_text(out / "dropped_weeks.csv", buf.getvalue())
+        _write_csv(
+            out / "dropped_weeks.csv",
+            [["week_start", "series", "reason"], *([fmt_date(wk), s, r] for wk, s, r in dropped)],
+        )
         report = study_media(weekly, _require_aux(args, "trends"))
     elif study == "event":
         try:
@@ -328,11 +334,7 @@ def cmd_ml(args) -> int:
     )
     rep = importance_report(models)
     _write_json(out / "importance.json", rep.to_dict())
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    for row in rep.rank_table():
-        w.writerow(row)
-    _write_text(out / "importance.csv", buf.getvalue())
+    _write_csv(out / "importance.csv", rep.rank_table())
     return 0
 
 
@@ -360,12 +362,10 @@ def cmd_synth(args) -> int:
             int(vt.get("T", 1000)),
             var_seed,
         )
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow([f"y{i + 1}" for i in range(data.shape[1])])
-        for row in data:
-            w.writerow([repr(float(v)) for v in row])
-        _write_text(out / "var.csv", buf.getvalue())
+        _write_csv(
+            out / "var.csv",
+            [[f"y{i + 1}" for i in range(data.shape[1])], *data.tolist()],
+        )
         sidecar["var_seed"] = var_seed
 
     if spec.cointegration:
@@ -374,22 +374,15 @@ def cmd_synth(args) -> int:
         pair = gen_cointegrated_pair(
             int(cfg.get("T", 1000)), float(cfg.get("noise_scale", 1.0)), coint_seed
         )
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["x", "y"])
-        for xv, yv in zip(pair.x, pair.y):
-            w.writerow([repr(float(xv)), repr(float(yv))])
-        _write_text(out / "coint.csv", buf.getvalue())
+        _write_csv(out / "coint.csv", [["x", "y"], *zip(pair.x.tolist(), pair.y.tolist())])
         sidecar["coint_seed"] = coint_seed
         sidecar["beta"] = pair.beta
 
     if spec.trend_weeks:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["week_start", "score"])
-        for date, score in spec.trend_weeks:
-            w.writerow([date, repr(float(score))])
-        _write_text(out / "trends.csv", buf.getvalue())
+        _write_csv(
+            out / "trends.csv",
+            [["week_start", "score"], *([date, float(score)] for date, score in spec.trend_weeks)],
+        )
 
     _write_json(out / "truth.json", sidecar)
     return 0

@@ -2,7 +2,8 @@
 
 Every failure the library raises on purpose derives from GoxlensError, so the
 CLI can map exception families onto exit codes in one place: schema/data
-problems exit 2, analysis aborts exit 3.
+problems exit 2, analysis aborts exit 3. Errors pickle with their attributes
+and message intact, so one raised in a worker process reaches the caller.
 """
 
 
@@ -26,6 +27,9 @@ class PairingError(DataError):
         shown = ", ".join(self.trade_ids[:10])
         more = "" if len(self.trade_ids) <= 10 else f" (+{len(self.trade_ids) - 10} more)"
         super().__init__(f"trade ids seen more than twice: {shown}{more}")
+
+    def __reduce__(self):
+        return (type(self), (self.trade_ids,))
 
 
 class DegenerateSeriesError(DataError):
@@ -55,6 +59,9 @@ class StationarityError(AnalysisAbort):
             for name, stat in self.failures.items()
         )
         super().__init__(f"non-stationary at 5%: {parts}")
+
+    def __reduce__(self):
+        return (type(self), (self.failures,))
 
 
 class TrainingDivergence(AnalysisAbort):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as _date
 from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
@@ -28,15 +28,17 @@ import numpy as np
 from .detect import FlaggedLedger, TimeWindow
 from .errors import DataError, DegenerateSeriesError
 from .ingest import (
-    AuxSeries,
+    BTC_DECIMALS,
     BTC_UNIT,
     DAY,
+    MONEY_DECIMALS,
     MONEY_UNIT,
+    AuxSeries,
     Source,
     _open_text,
-    day_of,
     fmt_date,
     fmt_ts,
+    format_scaled,
     parse_scaled,
     parse_ts,
 )
@@ -51,10 +53,10 @@ STUDY_SERIES = ("wash", "nonwash", "total", "liq", "vol")
 
 
 def amihud(prev_vwap: Optional[float], vwap: Optional[float], dollar_volume: float) -> float:
-    """|ln(vwap_t / vwap_{t-1})| / dollar_volume_t; 0 when any input is missing."""
-    if prev_vwap is None or vwap is None or prev_vwap <= 0.0 or vwap <= 0.0:
+    """|ln(vwap_t / vwap_{t-1})| / dollar_volume_t; 0 when any input is missing (None, NaN)."""
+    if prev_vwap is None or vwap is None:
         return 0.0
-    if dollar_volume <= 0.0:
+    if not (prev_vwap > 0.0 and vwap > 0.0 and dollar_volume > 0.0):
         return 0.0
     return abs(math.log(vwap / prev_vwap)) / dollar_volume
 
@@ -83,83 +85,76 @@ def pct_change(series: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(slots=True)
-class Bar:
-    """One 30-minute bar. Volume fields are fixed-point sums; float views below."""
+#: bars.csv columns, in file order.
+BARS_HEADER = ["start", "wash", "nonwash", "total", "dollar", "vwap", "amihud", "rvol"]
 
-    start: int
-    wash_e8: int = 0
-    nonwash_e8: int = 0
-    dollar_e5: int = 0
-    n_trades: int = 0
-    vwap: Optional[float] = None
-    amihud: float = 0.0
-    rvol: float = 0.0
-
-    @property
-    def total_e8(self) -> int:
-        return self.wash_e8 + self.nonwash_e8
-
-    @property
-    def wash_volume(self) -> float:
-        return self.wash_e8 / BTC_UNIT
-
-    @property
-    def nonwash_volume(self) -> float:
-        return self.nonwash_e8 / BTC_UNIT
-
-    @property
-    def total_volume(self) -> float:
-        return self.total_e8 / BTC_UNIT
-
-    @property
-    def dollar_volume(self) -> float:
-        return self.dollar_e5 / MONEY_UNIT
-
-
-_COLUMN_GETTERS = {
-    "wash": lambda b: b.wash_volume,
-    "nonwash": lambda b: b.nonwash_volume,
-    "total": lambda b: b.total_volume,
-    "dollar": lambda b: b.dollar_volume,
-    "vwap": lambda b: math.nan if b.vwap is None else b.vwap,
-    "amihud": lambda b: b.amihud,
-    "liq": lambda b: b.amihud,
-    "rvol": lambda b: b.rvol,
-    "vol": lambda b: b.rvol,
-}
+# BarSeries columns and their dtypes, in constructor order; from_csv parses
+# each bars.csv row into one record of this layout
+_COLUMNS = np.dtype(
+    [
+        ("start", np.int64),
+        ("wash_e8", np.int64),
+        ("nonwash_e8", np.int64),
+        ("dollar_e5", np.int64),
+        ("n_trades", np.int64),
+        ("vwap", np.float64),
+        ("amihud", np.float64),
+        ("rvol", np.float64),
+    ]
+)
 
 
 @dataclass
 class BarSeries:
-    """Dense bars on the 30-minute grid covering a window."""
+    """Dense bars on the 30-minute grid covering a window, one array per field.
 
-    bars: list[Bar]
+    `start` (bar open, epoch seconds), `wash_e8` and `nonwash_e8` (BTC at
+    1e-8), `dollar_e5` (quote currency at 1e-5) and `n_trades` are int64
+    sums; `vwap` (NaN when the bar has no priced trade), `amihud` and `rvol`
+    are float64. `column` gives the float views the studies consume.
+    """
+
+    start: np.ndarray
+    wash_e8: np.ndarray
+    nonwash_e8: np.ndarray
+    dollar_e5: np.ndarray
+    n_trades: np.ndarray
+    vwap: np.ndarray
+    amihud: np.ndarray
+    rvol: np.ndarray
     window: TimeWindow
     label: str = "mtgox"
 
     def __post_init__(self):
-        for a, b in zip(self.bars, self.bars[1:]):
-            if b.start - a.start != BAR_SECONDS:
-                raise DataError(
-                    f"bar grid broken: {fmt_ts(a.start)} then {fmt_ts(b.start)}"
-                )
+        for name in _COLUMNS.names:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), _COLUMNS[name]))
+        if any(len(getattr(self, name)) != len(self.start) for name in _COLUMNS.names):
+            raise DataError("bar columns differ in length")
+        broken = np.flatnonzero(np.diff(self.start) != BAR_SECONDS)
+        if len(broken):
+            a, b = self.start[broken[0] : broken[0] + 2].tolist()
+            raise DataError(f"bar grid broken: {fmt_ts(a)} then {fmt_ts(b)}")
 
     def __len__(self) -> int:
-        return len(self.bars)
-
-    def __iter__(self):
-        return iter(self.bars)
-
-    def starts(self) -> np.ndarray:
-        return np.array([b.start for b in self.bars], dtype=np.int64)
+        return len(self.start)
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            get = _COLUMN_GETTERS[name]
-        except KeyError:
-            raise DataError(f"unknown bar column {name!r}") from None
-        return np.array([get(b) for b in self.bars], dtype=np.float64)
+        """A float64 series: volumes in BTC, dollar volume, or a bar measure."""
+        if name == "wash":
+            return self.wash_e8 / BTC_UNIT
+        if name == "nonwash":
+            return self.nonwash_e8 / BTC_UNIT
+        if name == "total":
+            return (self.wash_e8 + self.nonwash_e8) / BTC_UNIT
+        if name == "dollar":
+            return self.dollar_e5 / MONEY_UNIT
+        if name == "vwap":
+            return self.vwap.copy()
+        if name in ("amihud", "liq"):
+            return self.amihud.copy()
+        if name in ("rvol", "vol"):
+            return self.rvol.copy()
+        raise DataError(f"unknown bar column {name!r}")
 
     def matrix(self, names: Sequence[str] = STUDY_SERIES) -> np.ndarray:
         return np.column_stack([self.column(n) for n in names])
@@ -167,31 +162,39 @@ class BarSeries:
     def series_map(self, names: Sequence[str] = STUDY_SERIES) -> dict:
         return {n: self.column(n) for n in names}
 
+    def days(self) -> tuple[np.ndarray, np.ndarray]:
+        """UTC day epochs in date order, and each bar's index into them."""
+        return np.unique(self.start - self.start % DAY, return_inverse=True)
+
     def slice(self, window: TimeWindow) -> "BarSeries":
         """Bars whose start lies in the window; grid alignment is kept."""
-        kept = [b for b in self.bars if window.contains(b.start)]
-        if not kept:
+        lo, hi = np.searchsorted(self.start, [window.start, window.end])
+        if lo == hi:
             raise DataError(
                 f"no bars in window {fmt_ts(window.start)}..{fmt_ts(window.end)}"
             )
-        return BarSeries(kept, window, self.label)
+        columns = (getattr(self, name)[lo:hi] for name in _COLUMNS.names)
+        return BarSeries(*columns, window, self.label)
 
     def to_csv(self, stream) -> None:
+        # cells are made row by row as the writer pulls them, not held per column
+        def fixed(values: np.ndarray, decimals: int):
+            return (format_scaled(v, decimals) for v in values.tolist())
+
         w = csv.writer(stream)
-        w.writerow(["start", "wash", "nonwash", "total", "dollar", "vwap", "amihud", "rvol"])
-        for b in self.bars:
-            w.writerow(
-                [
-                    fmt_ts(b.start),
-                    _fixed8(b.wash_e8),
-                    _fixed8(b.nonwash_e8),
-                    _fixed8(b.total_e8),
-                    _fixed5(b.dollar_e5),
-                    "" if b.vwap is None else repr(b.vwap),
-                    repr(b.amihud),
-                    repr(b.rvol),
-                ]
+        w.writerow(BARS_HEADER)
+        w.writerows(
+            zip(
+                map(fmt_ts, self.start.tolist()),
+                fixed(self.wash_e8, BTC_DECIMALS),
+                fixed(self.nonwash_e8, BTC_DECIMALS),
+                fixed(self.wash_e8 + self.nonwash_e8, BTC_DECIMALS),
+                fixed(self.dollar_e5, MONEY_DECIMALS),
+                ("" if v != v else v for v in self.vwap.tolist()),  # csv writes repr()
+                self.amihud.tolist(),
+                self.rvol.tolist(),
             )
+        )
 
     @classmethod
     def from_csv(cls, source: Source, label: str = "mtgox") -> "BarSeries":
@@ -199,40 +202,38 @@ class BarSeries:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
-            expected = ["start", "wash", "nonwash", "total", "dollar", "vwap", "amihud", "rvol"]
-            if header is None or [h.strip() for h in header] != expected:
-                raise DataError(f"bad bars header: {header}; expected {expected}")
-            bars = []
-            for row in reader:
-                if not row:
-                    continue
-                start = parse_ts(row[0])
-                bars.append(
-                    Bar(
-                        start=start,
-                        wash_e8=parse_scaled(row[1], 8),
-                        nonwash_e8=parse_scaled(row[2], 8),
-                        dollar_e5=parse_scaled(row[4], 5),
-                        vwap=None if row[5] == "" else float(row[5]),
-                        amihud=float(row[6]),
-                        rvol=float(row[7]),
-                    )
-                )
-            if not bars:
-                raise DataError("empty bars file")
-            window = TimeWindow(bars[0].start, bars[-1].start + BAR_SECONDS)
-            return cls(bars, window, label)
+            if header is None or [h.strip() for h in header] != BARS_HEADER:
+                raise DataError(f"bad bars header: {header}; expected {BARS_HEADER}")
+            parsed = (_parse_bar_row(row, reader.line_num) for row in reader if row)
+            rows = np.fromiter(parsed, _COLUMNS)
         finally:
             if should_close:
                 fh.close()
+        if not len(rows):
+            raise DataError("empty bars file")
+        window = TimeWindow(int(rows["start"][0]), int(rows["start"][-1]) + BAR_SECONDS)
+        return cls(*(rows[name] for name in _COLUMNS.names), window, label)
 
 
-def _fixed8(v: int) -> str:
-    return f"{v // BTC_UNIT}.{v % BTC_UNIT:08d}"
-
-
-def _fixed5(v: int) -> str:
-    return f"{v // MONEY_UNIT}.{v % MONEY_UNIT:05d}"
+def _parse_bar_row(row: list[str], line: int) -> tuple:
+    """One bars.csv row as a `_COLUMNS` record; the file carries no trade counts (0)."""
+    if len(row) != len(BARS_HEADER):
+        raise DataError(f"bars line {line}: expected {len(BARS_HEADER)} fields, got {len(row)}")
+    try:
+        start = parse_ts(row[0])
+        wash = parse_scaled(row[1], BTC_DECIMALS)
+        nonwash = parse_scaled(row[2], BTC_DECIMALS)
+        total = parse_scaled(row[3], BTC_DECIMALS)
+        dollar = parse_scaled(row[4], MONEY_DECIMALS)
+        vwap = math.nan if row[5] == "" else float(row[5])
+        measures = float(row[6]), float(row[7])
+    except ValueError as e:
+        raise DataError(f"bars line {line}: {e}") from None
+    if total != wash + nonwash:
+        raise DataError(f"bars line {line}: total {row[3]} is not wash + nonwash")
+    if max(total, dollar) >= 2**63:
+        raise DataError(f"bars line {line}: amount out of range")
+    return start, wash, nonwash, dollar, 0, vwap, *measures
 
 
 def build_bars(flagged: FlaggedLedger) -> BarSeries:
@@ -245,33 +246,45 @@ def build_bars(flagged: FlaggedLedger) -> BarSeries:
     """
     window = flagged.window
     n_bars = -((window.start - window.end) // BAR_SECONDS)
-    bars = [Bar(start=window.start + i * BAR_SECONDS) for i in range(n_bars)]
-    prices: list[list[float]] = [[] for _ in range(n_bars)]
-    btc_priced = [0] * n_bars
-    money_priced = [0] * n_bars
+    trades = flagged.trades
+    n = len(trades)
+    bar = (np.fromiter((t.ts for t in trades), np.int64, n) - window.start) // BAR_SECONDS
+    btc = np.fromiter((t.bitcoins_e8 for t in trades), np.int64, n)
+    money = np.fromiter((t.money_e5 for t in trades), np.int64, n)
+    wash = np.fromiter(flagged.wash, bool, n)
+    priced = btc > 0
 
-    for trade, is_wash in flagged:
-        i = (trade.ts - window.start) // BAR_SECONDS
-        b = bars[i]
-        b.n_trades += 1
-        if is_wash:
-            b.wash_e8 += trade.bitcoins_e8
-        else:
-            b.nonwash_e8 += trade.bitcoins_e8
-        b.dollar_e5 += trade.money_e5
-        if trade.bitcoins_e8 > 0:
-            btc_priced[i] += trade.bitcoins_e8
-            money_priced[i] += trade.money_e5
-            prices[i].append(trade.price)
+    def bar_sums(values: np.ndarray, mask=slice(None)) -> np.ndarray:
+        out = np.zeros(n_bars, dtype=np.int64)
+        np.add.at(out, bar[mask], values[mask])
+        return out
 
-    prev_vwap: Optional[float] = None
-    for i, b in enumerate(bars):
-        if btc_priced[i] > 0:
-            b.vwap = (money_priced[i] / MONEY_UNIT) / (btc_priced[i] / BTC_UNIT)
-        b.amihud = amihud(prev_vwap, b.vwap, b.dollar_volume)
-        b.rvol = realized_vol(prices[i])
-        prev_vwap = b.vwap
-    return BarSeries(bars, window)
+    wash_e8 = bar_sums(btc, wash)
+    nonwash_e8 = bar_sums(btc, ~wash)
+    dollar_e5 = bar_sums(money)
+    money_priced = bar_sums(money, priced)
+    btc_priced = wash_e8 + nonwash_e8  # zero-BTC trades add nothing
+    vwap = np.full(n_bars, math.nan)
+    has = btc_priced > 0
+    vwap[has] = (money_priced[has] / MONEY_UNIT) / (btc_priced[has] / BTC_UNIT)
+    prev_vwap = np.concatenate(([math.nan], vwap[:-1]))
+    dollar = dollar_e5 / MONEY_UNIT
+    liq = [amihud(*a) for a in zip(prev_vwap.tolist(), vwap.tolist(), dollar.tolist())]
+
+    # each bar's priced trades, in ledger order
+    order = np.flatnonzero(priced)
+    order = order[np.argsort(bar[order], kind="stable")]
+    prices = [trades[i].price for i in order.tolist()]
+    bar_of = bar[order]
+    rvol = np.zeros(n_bars)
+    # run boundaries of equal bar indices; the -1 pads mark both ends
+    edges = np.flatnonzero(np.diff(bar_of, prepend=-1, append=-1)).tolist()
+    for a, b in zip(edges, edges[1:]):
+        rvol[bar_of[a]] = realized_vol(prices[a:b])
+
+    n_trades = np.bincount(bar, minlength=n_bars)
+    starts = window.start + BAR_SECONDS * np.arange(n_bars, dtype=np.int64)
+    return BarSeries(starts, wash_e8, nonwash_e8, dollar_e5, n_trades, vwap, liq, rvol, window)
 
 
 @dataclass
@@ -352,19 +365,16 @@ def daily_quartiles(bars: BarSeries) -> list[QuartileLabel]:
     at the 25/50/75 percentiles of the ranking, so group sizes differ by at
     most one. Returned sorted by date.
     """
-    per_day: dict[int, int] = {}
-    for b in bars:
-        d = day_of(b.start)
-        per_day[d] = per_day.get(d, 0) + b.wash_e8
-    if len(per_day) < 4:
-        raise DataError(f"quartiles need >= 4 days, got {len(per_day)}")
-    ranked = sorted(per_day.items(), key=lambda kv: (kv[1], kv[0]))
-    n = len(ranked)
-    labels = [
-        QuartileLabel(day, 1 + (4 * i) // n) for i, (day, _vol) in enumerate(ranked)
-    ]
-    labels.sort(key=lambda lab: lab.day)
-    return labels
+    days, day_of_bar = bars.days()
+    n = len(days)
+    if n < 4:
+        raise DataError(f"quartiles need >= 4 days, got {n}")
+    wash = np.zeros(n, dtype=np.int64)
+    np.add.at(wash, day_of_bar, bars.wash_e8)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((days, wash))] = np.arange(n)
+    quartile = 1 + (4 * rank) // n
+    return [QuartileLabel(d, q) for d, q in zip(days.tolist(), quartile.tolist())]
 
 
 def quartile_map(labels: Sequence[QuartileLabel]) -> dict[int, int]:
@@ -381,7 +391,8 @@ class WeeklyBucket:
     n_bars: int
 
 
-def week_start_of(ts: int) -> int:
+def week_start_of(ts):
+    """Epoch of the ISO Monday of ts (an int or an int array)."""
     day_number = ts // DAY
     weekday = (day_number + 3) % 7  # epoch day 0 was a Thursday
     return (day_number - weekday) * DAY
@@ -394,24 +405,14 @@ def weekly_rollup(bars: BarSeries) -> list[WeeklyBucket]:
     stationarity filter can test within-week behaviour. Partial edge weeks are
     kept here and left to the filter.
     """
-    order: list[int] = []
-    grouped: dict[int, list[Bar]] = {}
-    for b in bars:
-        wk = week_start_of(b.start)
-        if wk not in grouped:
-            grouped[wk] = []
-            order.append(wk)
-        grouped[wk].append(b)
-
+    weeks, first = np.unique(week_start_of(bars.start), return_index=True)
+    columns = bars.series_map()
+    ends = [*first[1:].tolist(), len(bars)]
     out = []
-    for wk in order:
-        chunk = grouped[wk]
-        series = {
-            name: np.array([_COLUMN_GETTERS[name](b) for b in chunk], dtype=np.float64)
-            for name in STUDY_SERIES
-        }
+    for wk, a, b in zip(weeks.tolist(), first.tolist(), ends):
+        series = {name: columns[name][a:b].copy() for name in STUDY_SERIES}
         sums = {name: float(series[name].sum()) for name in STUDY_SERIES}
-        out.append(WeeklyBucket(wk, sums, series, len(chunk)))
+        out.append(WeeklyBucket(wk, sums, series, b - a))
     return out
 
 
@@ -537,9 +538,7 @@ def build_asset_bars(aux: AuxSeries, window: TimeWindow, label: str) -> AssetBar
 
 def daily_sums(bars: BarSeries, name: str) -> list[tuple[int, float]]:
     """(day epoch, summed column value) per UTC day, in date order."""
-    col = bars.column(name)
-    out: dict[int, float] = {}
-    for b, v in zip(bars, col):
-        d = day_of(b.start)
-        out[d] = out.get(d, 0.0) + float(v)
-    return sorted(out.items())
+    days, day_of_bar = bars.days()
+    # bincount adds each day's values left to right, in bar order
+    sums = np.bincount(day_of_bar, weights=bars.column(name), minlength=len(days))
+    return list(zip(days.tolist(), sums.tolist()))

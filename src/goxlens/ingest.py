@@ -64,8 +64,9 @@ def format_scaled(value: int, decimals: int) -> str:
     """Inverse of parse_scaled: fixed-point integer to a plain decimal string."""
     if value < 0:
         raise ValueError("negative fixed-point value")
-    unit = 10**decimals
-    return f"{value // unit}.{value % unit:0{decimals}d}"
+    digits = str(value).rjust(decimals + 1, "0")
+    cut = len(digits) - decimals
+    return f"{digits[:cut]}.{digits[cut:]}"
 
 
 # Timestamp parsing is the hot loop for multi-million-row logs; cache the

@@ -36,7 +36,7 @@ from .features import (
     quartile_map,
     week_start_of,
 )
-from .ingest import DAY, AuxSeries, day_of, fmt_date, fmt_ts, parse_date
+from .ingest import DAY, AuxSeries, fmt_date, fmt_ts, parse_date
 from .ml import (
     build_lagged,
     importance_report,
@@ -264,18 +264,22 @@ def train_model_suite(series, lags, seed: int, threads: int = 1, target: str = "
     return ds, models
 
 
-def _irf_table(name: str, irfm, pairs, n: int, horizons: int) -> ReportTable:
-    columns = [f"{shock}_to_{effect}" for shock, effect in pairs]
-    table = ReportTable(name, columns)
-    series = {
-        col: irfm.percent_response(effect, shock)
-        for col, (shock, effect) in zip(columns, pairs)
-    }
+def _irf_table(name: str, responses: dict, horizons: int) -> ReportTable:
+    """Rows h=1..H, their sum and n from each column's (percent response, sample size)."""
+    table = ReportTable(name, list(responses))
     for h in range(1, horizons + 1):
-        table.add(f"h={h}", {col: float(series[col][h - 1]) for col in columns})
-    table.add("sum", {col: float(series[col][:horizons].sum()) for col in columns})
-    table.add("n", {col: float(n) for col in columns})
+        table.add(f"h={h}", {c: float(r[h - 1]) for c, (r, _n) in responses.items()})
+    table.add("sum", {c: float(r[:horizons].sum()) for c, (r, _n) in responses.items()})
+    table.add("n", {c: float(n) for c, (_r, n) in responses.items()})
     return table
+
+
+def _pair_responses(irfm, pairs, n: int) -> dict:
+    """Column "<shock>_to_<effect>" for each (shock, effect) pair."""
+    return {
+        f"{shock}_to_{effect}": (irfm.percent_response(effect, shock), n)
+        for shock, effect in pairs
+    }
 
 
 _BLANK_CELL_NOTE = (
@@ -394,7 +398,8 @@ def study_timing(
 
     model = var_fit(data, var_order, names=list(STUDY_SERIES))
     irfm = irf(model, horizons)
-    tables["irf"] = _irf_table("irf", irfm, _TIMING_IRF_PAIRS, model.nobs, horizons)
+    responses = _pair_responses(irfm, _TIMING_IRF_PAIRS, model.nobs)
+    tables["irf"] = _irf_table("irf", responses, horizons)
     notes.append(_BLANK_CELL_NOTE)
 
     return StudyReport(
@@ -439,9 +444,9 @@ def study_onchain(
 
     nonwash = bars.column("nonwash")
     qmap = quartile_map(labels)
-    quartiles = np.array(
-        [_quartile_of(qmap, day_of(b.start), "bar day") for b in bars]
-    )
+    days, day_of_bar = bars.days()
+    day_quartiles = [_quartile_of(qmap, d, "bar day") for d in days.tolist()]
+    quartiles = np.array(day_quartiles)[day_of_bar]
 
     table = ReportTable("quartiles", ["slope", "pvalue", "adj_r2", "eg_pvalue", "n"])
     notes: List[str] = []
@@ -568,12 +573,9 @@ def study_cross_asset(
     (markets closed throughout) are skipped with a note.
     """
     wash = bars.column("wash")
-    starts = bars.starts()
     notes: List[str] = []
     inputs = {"bars": digest_bars(bars)}
-    columns: List[str] = []
-    responses: Dict[str, np.ndarray] = {}
-    nobs: Dict[str, int] = {}
+    responses: Dict[str, Tuple[np.ndarray, int]] = {}
 
     seen = set()
     for ab in assets:
@@ -581,7 +583,7 @@ def study_cross_asset(
             raise DataError(f"duplicate asset label {ab.label!r}")
         seen.add(ab.label)
         inputs[f"asset:{ab.label}"] = digest_asset(ab)
-        if not np.array_equal(ab.starts, starts):
+        if not np.array_equal(ab.starts, bars.start):
             raise DataError(f"asset {ab.label!r} is not on the bar grid")
         for col in ASSET_COLUMNS:
             vals = ab.columns[col]
@@ -592,21 +594,13 @@ def study_cross_asset(
             data = np.column_stack([wash, vals])
             model = var_fit(data, var_order, names=["wash", name])
             irfm = irf(model, horizons)
-            columns.append(name)
-            responses[name] = irfm.percent_response("wash", name)
-            nobs[name] = model.nobs
-
-    table = ReportTable("irf", columns)
-    for h in range(1, horizons + 1):
-        table.add(f"h={h}", {c: float(responses[c][h - 1]) for c in columns})
-    table.add("sum", {c: float(responses[c][:horizons].sum()) for c in columns})
-    table.add("n", {c: float(nobs[c]) for c in columns})
+            responses[name] = (irfm.percent_response("wash", name), model.nobs)
 
     return StudyReport(
         study="cross_asset",
         inputs=inputs,
         parameters={"var_order": var_order, "horizons": horizons},
-        tables={"irf": table},
+        tables={"irf": _irf_table("irf", responses, horizons)},
         notes=notes,
     )
 
@@ -661,7 +655,7 @@ def study_media(
             notes.append(f"{side}: VAR order clamped to {p}")
         model = var_fit(data, p, names=list(STUDY_SERIES))
         irfm = irf(model, horizons)
-        tables[side] = _irf_table(side, irfm, _EVENT_IRF_PAIRS, n, horizons)
+        tables[side] = _irf_table(side, _pair_responses(irfm, _EVENT_IRF_PAIRS, n), horizons)
     notes.append(_BLANK_CELL_NOTE)
 
     return StudyReport(
@@ -702,7 +696,7 @@ def study_event(
             )
         model = var_fit(sub.matrix(), var_order, names=list(STUDY_SERIES))
         irfm = irf(model, horizons)
-        tables[name] = _irf_table(name, irfm, _EVENT_IRF_PAIRS, len(sub), horizons)
+        tables[name] = _irf_table(name, _pair_responses(irfm, _EVENT_IRF_PAIRS, len(sub)), horizons)
 
     return StudyReport(
         study="event",

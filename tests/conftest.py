@@ -10,7 +10,7 @@ import io
 import numpy as np
 
 from goxlens.detect import TimeWindow
-from goxlens.features import BAR_SECONDS, Bar, BarSeries
+from goxlens.features import BAR_SECONDS, BarSeries
 from goxlens.ingest import BTC_UNIT, MONEY_UNIT, pair_and_dedup, parse_date, parse_trade_log
 
 # A Monday at UTC midnight, so bar grids align with week starts.
@@ -33,22 +33,21 @@ def bars_from_arrays(
     def col(x):
         return np.zeros(n) if x is None else np.asarray(x, dtype=np.float64)
 
-    nonwash, liq, vol, dollar = col(nonwash), col(liq), col(vol), col(dollar)
-    bars = []
-    for i in range(n):
-        bars.append(
-            Bar(
-                start=t0 + i * BAR_SECONDS,
-                wash_e8=round(wash[i] * BTC_UNIT),
-                nonwash_e8=round(nonwash[i] * BTC_UNIT),
-                dollar_e5=round(dollar[i] * MONEY_UNIT),
-                n_trades=1,
-                vwap=100.0,
-                amihud=float(liq[i]),
-                rvol=float(vol[i]),
-            )
-        )
-    return BarSeries(bars, TimeWindow(t0, t0 + n * BAR_SECONDS), label)
+    def fixed(x, unit):
+        return np.round(col(x) * unit).astype(np.int64)
+
+    return BarSeries(
+        start=t0 + BAR_SECONDS * np.arange(n),
+        wash_e8=fixed(wash, BTC_UNIT),
+        nonwash_e8=fixed(nonwash, BTC_UNIT),
+        dollar_e5=fixed(dollar, MONEY_UNIT),
+        n_trades=np.ones(n, dtype=np.int64),
+        vwap=np.full(n, 100.0),
+        amihud=col(liq),
+        rvol=col(vol),
+        window=TimeWindow(t0, t0 + n * BAR_SECONDS),
+        label=label,
+    )
 
 
 CANONICAL_HEADER = "user_id,trade_id,timestamp,currency,bitcoins,money,side"

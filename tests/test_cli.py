@@ -155,7 +155,7 @@ def test_bars_cover_the_window_densely(synth_dir, tmp_path):
     assert code == 0
     bars = BarSeries.from_csv(str(out / "bars.csv"))
     assert len(bars) == 14 * 48
-    assert bars.bars[0].start == parse_date("2013-01-01")
+    assert bars.start[0] == parse_date("2013-01-01")
 
     # without --window the grid spans the default analysis window
     wide = tmp_path / "wide"
@@ -397,6 +397,21 @@ def test_wrong_header_is_a_data_error(tmp_path, capsys):
     bad.write_text("a,b,c\n1,2,3\n")
     assert run("detect", "--trades", str(bad), "--out", str(tmp_path / "o")) == 2
     assert "missing columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "2013-01-07 00:30:00,1.00000000",  # short row
+        "2013-01-07 00:30:00,1.00000000,2.0.0,3.00000000,0.00000,,0.0,0.0",  # bad amount
+        "2013-01-07 00:30:00,1.00000000,2.00000000,9.00000000,0.00000,,0.0,0.0",  # total
+    ],
+)
+def test_malformed_bars_row_is_a_data_error(noise_bars_csv, tmp_path, capsys, row):
+    bad = tmp_path / "bars.csv"
+    bad.write_text("".join(noise_bars_csv.read_text().splitlines(keepends=True)[:2]) + row + "\n")
+    assert run("analyze", "event", "--bars", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert "bars line 3" in capsys.readouterr().err
 
 
 def test_unparseable_window_is_usage_error(synth_dir, tmp_path, capsys):

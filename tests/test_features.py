@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,7 +29,7 @@ from goxlens.features import (
     week_start_of,
     weekly_rollup,
 )
-from goxlens.ingest import DAY, parse_aux, parse_date, parse_ts
+from goxlens.ingest import BTC_UNIT, DAY, parse_aux, parse_date, parse_ts
 
 from conftest import MONDAY, bars_from_arrays, canonical_csv, halves, ledger_of
 
@@ -99,13 +100,12 @@ def test_wash_and_nonwash_volumes_add():
     rows = halves("1", "1", "w", "2012-01-01 00:10:00", 6.0, 30.0)
     rows += halves("2", "3", "n", "2012-01-01 00:20:00", 6.0, 30.0)
     bars = build_bars(flagged_from(rows))
-    b = bars.bars[0]
-    assert b.wash_volume == 6.0
-    assert b.nonwash_volume == 6.0
-    assert b.total_volume == 12.0
-    assert b.n_trades == 2
-    assert b.dollar_volume == 60.0
-    assert b.vwap == pytest.approx(5.0)  # 60 USD / 12 BTC
+    assert bars.column("wash")[0] == 6.0
+    assert bars.column("nonwash")[0] == 6.0
+    assert bars.column("total")[0] == 12.0
+    assert bars.n_trades[0] == 2
+    assert bars.column("dollar")[0] == 60.0
+    assert bars.vwap[0] == pytest.approx(5.0)  # 60 USD / 12 BTC
 
 
 def test_gap_hour_gives_zero_bars():
@@ -113,9 +113,9 @@ def test_gap_hour_gives_zero_bars():
     rows += halves("1", "2", "b", "2012-01-01 03:10:00", 1.0, 5.0)
     bars = build_bars(flagged_from(rows))
     assert len(bars) == 48
-    middle = bars.bars[2:6]  # 01:00 .. 03:00
-    assert all(b.total_e8 == 0 and b.n_trades == 0 for b in middle)
-    assert all(b.amihud == 0.0 and b.rvol == 0.0 for b in middle)
+    middle = slice(2, 6)  # 01:00 .. 03:00
+    assert np.all(bars.column("total")[middle] == 0) and np.all(bars.n_trades[middle] == 0)
+    assert np.all(bars.amihud[middle] == 0.0) and np.all(bars.rvol[middle] == 0.0)
 
 
 def test_two_week_window_is_672_bars():
@@ -129,22 +129,21 @@ def test_bar_vwap_amihud_rvol_hand_values():
     rows += halves("1", "2", "b", "2012-01-01 00:25:00", 2.0, 24.0)  # price 12
     rows += halves("1", "2", "c", "2012-01-01 00:35:00", 1.0, 12.0)  # price 12
     bars = build_bars(flagged_from(rows))
-    b0, b1 = bars.bars[0], bars.bars[1]
-    assert b0.vwap == pytest.approx(44.0 / 4.0)
-    assert b0.amihud == 0.0  # no previous bar vwap
-    assert b0.rvol == pytest.approx(math.log(1.2) ** 2)
-    assert b1.vwap == pytest.approx(12.0)
-    assert b1.amihud == pytest.approx(abs(math.log(12.0 / 11.0)) / 12.0)
-    assert b1.rvol == 0.0
+    assert bars.vwap[0] == pytest.approx(44.0 / 4.0)
+    assert bars.amihud[0] == 0.0  # no previous bar vwap
+    assert bars.rvol[0] == pytest.approx(math.log(1.2) ** 2)
+    assert bars.vwap[1] == pytest.approx(12.0)
+    assert bars.amihud[1] == pytest.approx(abs(math.log(12.0 / 11.0)) / 12.0)
+    assert bars.rvol[1] == 0.0
 
 
 def test_amihud_skips_vwap_gaps():
     rows = halves("1", "2", "a", "2012-01-01 00:05:00", 1.0, 10.0)
     rows += halves("1", "2", "b", "2012-01-01 01:05:00", 1.0, 11.0)
     bars = build_bars(flagged_from(rows))
-    assert bars.bars[1].vwap is None
+    assert math.isnan(bars.vwap[1])
     # the 01:00 bar has volume but follows a vwap gap: no return, amihud 0
-    assert bars.bars[2].amihud == 0.0
+    assert bars.amihud[2] == 0.0
 
 
 def test_total_identity_random_ledgers():
@@ -158,8 +157,8 @@ def test_total_identity_random_ledgers():
             ts = f"2012-01-01 {rng.randrange(24):02d}:{rng.randrange(60):02d}:{rng.randrange(60):02d}"
             rows += halves(u, v, f"t{trial}_{i}", ts, round(rng.uniform(0.1, 4), 3), 5.0)
         bars = build_bars(flagged_from(rows))
-        for b in bars:
-            assert b.total_e8 == b.wash_e8 + b.nonwash_e8
+        total_e8 = np.round(bars.column("total") * BTC_UNIT).astype(np.int64)
+        assert np.array_equal(total_e8, bars.wash_e8 + bars.nonwash_e8)
 
 
 def test_adjacent_bars_sum_to_hourly_aggregate():
@@ -173,16 +172,15 @@ def test_adjacent_bars_sum_to_hourly_aggregate():
         rows += halves(u, v, f"t{i}", ts, round(rng.uniform(0.1, 2), 3), round(rng.uniform(1, 9), 2))
     fl = flagged_from(rows)
     bars = build_bars(fl)
-    b0, b1 = bars.bars[0], bars.bars[1]
     want = {"wash": 0, "nonwash": 0, "dollar": 0, "n": 0}
     for t, w in fl:
         want["wash" if w else "nonwash"] += t.bitcoins_e8
         want["dollar"] += t.money_e5
         want["n"] += 1
-    assert b0.wash_e8 + b1.wash_e8 == want["wash"]
-    assert b0.nonwash_e8 + b1.nonwash_e8 == want["nonwash"]
-    assert b0.dollar_e5 + b1.dollar_e5 == want["dollar"]
-    assert b0.n_trades + b1.n_trades == want["n"]
+    assert bars.wash_e8[:2].sum() == want["wash"]
+    assert bars.nonwash_e8[:2].sum() == want["nonwash"]
+    assert bars.dollar_e5[:2].sum() == want["dollar"]
+    assert bars.n_trades[:2].sum() == want["n"]
 
 
 # --- serialization -----------------------------------------------------------
@@ -208,6 +206,38 @@ def test_bars_csv_header_enforced():
         BarSeries.from_csv(io.StringIO("start,wash\n"))
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("2012-01-01 00:30:00,1.00000000,2.00000000", "expected 8 fields, got 3"),
+        ("2012-01-01 00:30:00,1.0x,2.00000000,3.00000000,0.00000,,0.0,0.0", "malformed amount"),
+        ("2012-01-01 00:30:00,1.00000000,2.00000000,4.00000000,0.00000,,0.0,0.0",
+         "not wash + nonwash"),
+        ("2012-01-01 00:30:00,1.00000000,2.00000000,3.00000000,0.00000,,zero,0.0",
+         "could not convert"),
+        ("2012-01-01 00:30:00,99999999999.00000000,0.00000000,99999999999.00000000,0.00000,,0.0,0.0",
+         "out of range"),
+    ],
+)
+def test_bars_csv_rejects_malformed_rows(row, reason):
+    good = "2012-01-01 00:00:00,1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0"
+    text = f"start,wash,nonwash,total,dollar,vwap,amihud,rvol\n{good}\n{row}\n"
+    with pytest.raises(DataError, match=f"bars line 3: .*{re.escape(reason)}"):
+        BarSeries.from_csv(io.StringIO(text))
+
+
+def test_bar_grid_and_column_lengths_checked():
+    bars = bars_from_arrays([1.0, 2.0, 3.0])
+    columns = [bars.start, bars.wash_e8, bars.nonwash_e8, bars.dollar_e5, bars.n_trades,
+               bars.vwap, bars.amihud, bars.rvol]
+    gap = bars.start.copy()
+    gap[2] += BAR_SECONDS
+    with pytest.raises(DataError, match="bar grid broken"):
+        BarSeries(gap, *columns[1:], bars.window)
+    with pytest.raises(DataError, match="differ in length"):
+        BarSeries(*columns[:-1], bars.rvol[:2], bars.window)
+
+
 def test_matrix_and_series_map():
     bars = bars_from_arrays([1.0, 2.0], [3.0, 4.0])
     m = bars.matrix()
@@ -224,7 +254,7 @@ def test_slice_alignment():
     bars = bars_from_arrays(np.arange(96.0), t0=parse_date("2012-01-02"))
     sub = bars.slice(TimeWindow.from_dates("2012-01-03", "2012-01-03"))
     assert len(sub) == 48
-    assert sub.bars[0].wash_volume == 48.0
+    assert sub.column("wash")[0] == 48.0
     with pytest.raises(DataError):
         bars.slice(TimeWindow.from_dates("2012-02-01", "2012-02-02"))
 

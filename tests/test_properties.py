@@ -1,0 +1,132 @@
+"""Property-based invariants of the ledger -> bars path.
+
+Random small canonical ledgers (zero-BTC and zero-money trades, repeated
+trades the dedup folds, empty bars and empty ledgers included) must conserve
+fixed-point volume from the flagged ledger into the bars, and the bars must
+survive a CSV round trip byte for byte. Per-day sums must equal a plain
+left-to-right sum, and fixed-point amounts must round-trip in any spelling
+the parser accepts.
+"""
+
+import io
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from goxlens.detect import TimeWindow, flag_wash
+from goxlens.features import BAR_SECONDS, STUDY_SERIES, BarSeries, build_bars, daily_sums
+from goxlens.ingest import (
+    BTC_DECIMALS,
+    DAY,
+    MONEY_DECIMALS,
+    fmt_ts,
+    format_scaled,
+    parse_date,
+    parse_scaled,
+)
+
+from conftest import bars_from_arrays, canonical_csv, halves, ledger_of
+
+D0 = parse_date("2012-01-01")
+WINDOW = TimeWindow.from_dates("2012-01-01", "2012-01-02")
+
+trade = st.tuples(
+    st.integers(0, 3),  # buyer
+    st.integers(0, 3),  # seller; equal ids make a wash trade
+    st.integers(0, 2 * DAY - 1),  # seconds into the window
+    st.one_of(st.just(0), st.integers(1, 10**10)),  # bitcoins_e8
+    st.one_of(st.just(0), st.integers(1, 10**9)),  # money_e5
+)
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+def _flagged(trades):
+    rows = []
+    for i, (buyer, seller, sec, btc, money) in enumerate(trades):
+        rows += halves(
+            f"u{buyer}",
+            f"u{seller}",
+            f"t{i}",
+            fmt_ts(D0 + sec),
+            format_scaled(btc, BTC_DECIMALS),
+            format_scaled(money, MONEY_DECIMALS),
+        )
+    return flag_wash(ledger_of(canonical_csv(rows)), WINDOW)
+
+
+@PROPERTY
+@given(st.lists(trade, max_size=40))
+def test_bars_conserve_ledger_volume(trades):
+    flagged = _flagged(trades)
+    bars = build_bars(flagged)
+    assert len(bars) == 2 * DAY // BAR_SECONDS
+
+    total = [0] * len(bars)
+    for t in flagged.trades:
+        total[(t.ts - WINDOW.start) // BAR_SECONDS] += t.bitcoins_e8
+    assert (bars.wash_e8 + bars.nonwash_e8).tolist() == total
+
+    wash = flagged.wash_trades()
+    nonwash = [t for t, w in flagged if not w]
+    assert int(bars.wash_e8.sum()) == sum(t.bitcoins_e8 for t in wash)
+    assert int(bars.nonwash_e8.sum()) == sum(t.bitcoins_e8 for t in nonwash)
+    assert int(bars.dollar_e5.sum()) == sum(t.money_e5 for t in flagged.trades)
+    assert int(bars.n_trades.sum()) == len(flagged.trades)
+
+
+@PROPERTY
+@given(st.lists(trade, max_size=40))
+def test_bars_csv_round_trip_and_total_column(trades):
+    buf = io.StringIO()
+    build_bars(_flagged(trades)).to_csv(buf)
+    again = io.StringIO()
+    BarSeries.from_csv(io.StringIO(buf.getvalue())).to_csv(again)
+    assert again.getvalue() == buf.getvalue()
+
+    for line in buf.getvalue().splitlines()[1:]:
+        _start, wash, nonwash, total = line.split(",")[:4]
+        assert parse_scaled(total, 8) == parse_scaled(wash, 8) + parse_scaled(nonwash, 8)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4).flatmap(
+        lambda days: st.lists(
+            st.floats(0.0, 1e6, allow_nan=False), min_size=48 * days, max_size=48 * days
+        )
+    )
+)
+def test_daily_sums_match_a_left_to_right_sum(values):
+    bars = bars_from_arrays(np.arange(len(values), dtype=float), liq=values, t0=D0)
+    for name in (*STUDY_SERIES, "dollar"):
+        col = bars.column(name).tolist()
+        want = []
+        for day in range(len(col) // 48):
+            acc = 0.0
+            for v in col[48 * day : 48 * (day + 1)]:
+                acc += v
+            want.append((D0 + day * DAY, acc))
+        assert daily_sums(bars, name) == want
+
+
+@PROPERTY
+@given(st.integers(0, 10**20), st.sampled_from([BTC_DECIMALS, MONEY_DECIMALS]), st.data())
+def test_scaled_amounts_round_trip_in_any_spelling(value, decimals, data):
+    text = format_scaled(value, decimals)
+    assert text == f"{value // 10**decimals}.{value % 10**decimals:0{decimals}d}"
+    assert parse_scaled(text, decimals) == value
+    # the same amount with zeros trimmed or padded on the left, or blanks around it
+    whole, frac = text.split(".")
+    trimmed = frac.rstrip("0")
+    spelled = data.draw(
+        st.sampled_from(
+            [
+                f"{whole}.{trimmed}" if trimmed else whole,
+                f"00{text}",
+                f" {text} ",
+                f".{frac}" if whole == "0" else text,
+            ]
+        )
+    )
+    assert parse_scaled(spelled, decimals) == value

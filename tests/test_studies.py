@@ -191,7 +191,7 @@ def _onchain_setup(seed, planted=True, n_days=8):
     if planted:
         q4 = quartiles == 4
         chain[q4] = 2.0 * nw[q4] + 5.0 * rng.standard_normal(int(q4.sum()))
-    points = [AuxPoint(int(b.start), {"output": float(chain[i])}) for i, b in enumerate(bars)]
+    points = [AuxPoint(ts, {"output": c}) for ts, c in zip(bars.start.tolist(), chain.tolist())]
     return bars, AuxSeries("onchain", points), labels
 
 
@@ -334,7 +334,7 @@ def _asset_setup(seed, coupled=True, n=672):
     bars = bars_from_arrays(w, 150.0 + 10.0 * rng.standard_normal(n))
     cols = {c: np.zeros(n) for c in ASSET_COLUMNS}
     cols["pct_close"] = asset
-    ab = AssetBarSeries("nikkei", bars.starts(), np.ones(n, dtype=bool), cols, "tick")
+    ab = AssetBarSeries("nikkei", bars.start, np.ones(n, dtype=bool), cols, "tick")
     return bars, ab
 
 
@@ -377,7 +377,7 @@ def test_cross_asset_validation_and_all_zero_asset():
     bars, ab = _asset_setup(1)
     silent = AssetBarSeries(
         "ghost",
-        bars.starts(),
+        bars.start,
         np.zeros(len(bars), dtype=bool),
         {c: np.zeros(len(bars)) for c in ASSET_COLUMNS},
         "volume",
