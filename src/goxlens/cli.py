@@ -50,8 +50,9 @@ from .synth import SynthSpec, gen_cointegrated_pair, gen_exchange_log, gen_var_p
 if TYPE_CHECKING:
     from .studies import StudyReport
 
-# The studies and models (with scipy.stats behind them) are imported inside
-# the commands that use them, so ingest, detect and bars start without them.
+# The studies and models (with scipy.linalg and scipy.special behind them) are
+# imported inside the commands that use them, so ingest, detect and bars start
+# without them.
 
 log = logging.getLogger(__name__)
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+from scipy.special import ndtr
 
 from ..errors import DataError, SingularityError
 from .ols import ols
@@ -177,7 +177,7 @@ def mackinnon_pvalue(stat: float, n_series: int = 2) -> float:
         return 0.0
     coef = EG_SMALL_P[i] if stat <= EG_TAU_STAR[i] else EG_LARGE_P[i]
     z = sum(c * stat**j for j, c in enumerate(coef))
-    return float(stats.norm.cdf(z))
+    return float(ndtr(z))
 
 
 @dataclass

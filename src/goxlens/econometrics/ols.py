@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+from scipy.special import stdtr
 
 from ..errors import DataError
 
@@ -58,7 +58,7 @@ def ols(y, X, intercept: bool = True) -> OlsFit:
     bse = np.sqrt(np.clip(np.diag(xtx_inv), 0.0, None) * s2)
     with np.errstate(divide="ignore", invalid="ignore"):
         tvalues = np.where(bse > 0.0, params / np.where(bse > 0.0, bse, 1.0), np.inf * np.sign(params))
-    pvalues = 2.0 * stats.t.sf(np.abs(tvalues), df_resid)
+    pvalues = 2.0 * stdtr(df_resid, -np.abs(tvalues))
 
     if intercept:
         tss = float(np.sum((y - y.mean()) ** 2))

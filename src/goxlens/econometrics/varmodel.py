@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+from scipy.special import fdtrc
 
 from ..errors import DataError
 
@@ -185,7 +185,7 @@ def granger(data, cause, effect, lag: int, names: Optional[Sequence[str]] = None
         raise DataError("degenerate Granger regression: unrestricted RSS is zero")
 
     fstat = max(rss_r - rss_u, 0.0) / lag / (rss_u / df2)
-    pvalue = float(stats.f.sf(fstat, lag, df2))
+    pvalue = float(fdtrc(lag, df2, fstat))
     return GrangerResult(
         cause=names[cause],
         effect=names[effect],

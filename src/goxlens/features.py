@@ -16,9 +16,11 @@ dollar volume) so sparse stretches stay finite.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date as _date
 from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
@@ -112,6 +114,9 @@ class BarSeries:
     1e-8), `dollar_e5` (quote currency at 1e-5) and `n_trades` are int64
     sums; `vwap` (NaN when the bar has no priced trade), `amihud` and `rvol`
     are float64. `column` gives the float views the studies consume.
+    `source_digest` is the `content_digest` of the bars.csv text `from_csv`
+    read the frame from; frames built any other way (slices included) have
+    None.
     """
 
     start: np.ndarray
@@ -124,6 +129,7 @@ class BarSeries:
     rvol: np.ndarray
     window: TimeWindow
     label: str = "mtgox"
+    source_digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _COLUMNS.names:
@@ -200,19 +206,34 @@ class BarSeries:
     def from_csv(cls, source: Source, label: str = "mtgox") -> "BarSeries":
         fh, should_close = _open_text(source)
         try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != BARS_HEADER:
-                raise DataError(f"bad bars header: {header}; expected {BARS_HEADER}")
-            parsed = (_parse_bar_row(row, reader.line_num) for row in reader if row)
-            rows = np.fromiter(parsed, _COLUMNS)
+            text = fh.read()
         finally:
             if should_close:
                 fh.close()
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != BARS_HEADER:
+            raise DataError(f"bad bars header: {header}; expected {BARS_HEADER}")
+        parsed = (_parse_bar_row(row, reader.line_num) for row in reader if row)
+        rows = np.fromiter(parsed, _COLUMNS)
         if not len(rows):
             raise DataError("empty bars file")
         window = TimeWindow(int(rows["start"][0]), int(rows["start"][-1]) + BAR_SECONDS)
-        return cls(*(rows[name] for name in _COLUMNS.names), window, label)
+        bars = cls(*(rows[name] for name in _COLUMNS.names), window, label)
+        # a file `to_csv` wrote holds exactly the text re-serializing would give
+        bars.source_digest = content_digest("bars", label, text)
+        return bars
+
+
+def content_digest(*parts) -> str:
+    """SHA-256 over length-prefixed parts (str parts as UTF-8), as hex."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            part = part.encode()
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.hexdigest()
 
 
 def _parse_bar_row(row: list[str], line: int) -> tuple:

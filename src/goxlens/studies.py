@@ -13,7 +13,6 @@ absolute level).
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +32,7 @@ from .features import (
     BarSeries,
     QuartileLabel,
     WeeklyBucket,
+    content_digest,
     quartile_map,
     week_start_of,
 )
@@ -159,35 +159,27 @@ class EventConfig:
 
 # --- input digests -----------------------------------------------------------
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, str):
-            part = part.encode()
-        h.update(len(part).to_bytes(8, "big"))
-        h.update(part)
-    return h.hexdigest()
-
-
 def digest_bars(bars: BarSeries) -> str:
+    if bars.source_digest is not None:
+        return bars.source_digest
     buf = io.StringIO()
     bars.to_csv(buf)
-    return _digest("bars", bars.label, buf.getvalue())
+    return content_digest("bars", bars.label, buf.getvalue())
 
 
 def digest_aux(aux: AuxSeries) -> str:
     parts = ["aux", aux.kind]
     for p in aux.points:
         parts.append(f"{p.ts}:{sorted(p.values.items())!r}")
-    return _digest(*parts)
+    return content_digest(*parts)
 
 
 def digest_labels(labels: Sequence[QuartileLabel]) -> str:
-    return _digest("labels", repr([(lab.day, lab.quartile) for lab in labels]))
+    return content_digest("labels", repr([(lab.day, lab.quartile) for lab in labels]))
 
 
 def digest_daily(pairs: Sequence[Tuple[int, float]]) -> str:
-    return _digest("daily", repr([(int(d), float(v)) for d, v in pairs]))
+    return content_digest("daily", repr([(int(d), float(v)) for d, v in pairs]))
 
 
 def digest_weekly(weekly: Sequence[WeeklyBucket]) -> str:
@@ -197,7 +189,7 @@ def digest_weekly(weekly: Sequence[WeeklyBucket]) -> str:
         for name in STUDY_SERIES:
             parts.append(name)
             parts.append(np.ascontiguousarray(wk.series[name]).tobytes())
-    return _digest(*parts)
+    return content_digest(*parts)
 
 
 def digest_asset(ab: AssetBarSeries) -> str:
@@ -207,7 +199,7 @@ def digest_asset(ab: AssetBarSeries) -> str:
     for name in ASSET_COLUMNS:
         parts.append(name)
         parts.append(np.ascontiguousarray(ab.columns[name]).tobytes())
-    return _digest(*parts)
+    return content_digest(*parts)
 
 
 # --- shared pieces -----------------------------------------------------------

@@ -26,20 +26,28 @@ def test_subpackages_import():
     assert callable(goxlens.ml.train_tree)
 
 
-def test_cli_import_leaves_studies_and_scipy_stats_unloaded():
-    # the studies pull in scipy.stats (about a second); ingest, detect and
-    # bars must not pay for it
+def _loaded_after(module, names):
+    """Which of `names` a fresh interpreter has loaded after importing `module`."""
     src = os.path.dirname(os.path.dirname(goxlens.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = (
-        "import sys, goxlens.cli; "
-        "print([m for m in ('scipy.stats', 'goxlens.studies') if m in sys.modules])"
-    )
+    probe = f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_studies_and_scipy_stats_unloaded():
+    # the studies pull in scipy.linalg and the models; ingest, detect and bars
+    # must not pay for them
+    assert _loaded_after("goxlens.cli", ("scipy.stats", "goxlens.studies")) == "[]"
+
+
+def test_studies_import_leaves_scipy_stats_unloaded():
+    # the p-values come from scipy.special; scipy.stats would add most of a
+    # second to every analyze command
+    assert _loaded_after("goxlens.studies", ("scipy.stats",)) == "[]"
 
 
 def test_lazy_names_import_by_name():

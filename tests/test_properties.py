@@ -5,16 +5,19 @@ trades the dedup folds, empty bars and empty ledgers included) must conserve
 fixed-point volume from the flagged ledger into the bars, and the bars must
 survive a CSV round trip byte for byte. Per-day sums must equal a plain
 left-to-right sum, and fixed-point amounts must round-trip in any spelling
-the parser accepts.
+the parser accepts. On random half-row ledgers (unpaired ids, non-USD rows,
+ids seen three times) the dedup counts must match a brute-force recount.
 """
 
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goxlens.detect import TimeWindow, flag_wash
+from goxlens.errors import PairingError
 from goxlens.features import BAR_SECONDS, STUDY_SERIES, BarSeries, build_bars, daily_sums
 from goxlens.ingest import (
     BTC_DECIMALS,
@@ -130,3 +133,49 @@ def test_scaled_amounts_round_trip_in_any_spelling(value, decimals, data):
         )
     )
     assert parse_scaled(spelled, decimals) == value
+
+
+# small domains, so equal trades (the duplicates dedup folds) are common
+small_trade = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)
+)
+
+
+@PROPERTY
+@given(
+    st.lists(small_trade, max_size=30),
+    st.lists(st.integers(0, 29), max_size=4),  # trades that get a non-USD third half
+    st.integers(0, 4),  # orphan USD halves, each under a fresh id
+    st.lists(st.integers(0, 29), max_size=2),  # trades that get a USD third half
+    st.data(),
+)
+def test_dedup_stats_match_a_brute_force_recount(trades, non_usd, orphans, triples, data):
+    rows = []
+    for i, (buyer, seller, sec, btc, money) in enumerate(trades):
+        rows += halves(f"u{buyer}", f"u{seller}", f"t{i}", fmt_ts(D0 + sec), f"{btc}.0", f"{money}.0")
+    non_usd = [i for i in non_usd if i < len(trades)]
+    for i in non_usd:
+        rows.append(("u9", f"t{i}", fmt_ts(D0), "EUR", "1.0", "1.0", "buy"))
+    for j in range(orphans):
+        rows.append((f"u{j}", f"o{j}", fmt_ts(D0), "USD", "1.0", "1.0", "sell"))
+    tripled = sorted({f"t{i}" for i in triples if i < len(trades)})
+    for tid in tripled:
+        rows.append(("u9", tid, fmt_ts(D0), "USD", "1.0", "1.0", "sell"))
+    rows = data.draw(st.permutations(rows))
+
+    if tripled:
+        with pytest.raises(PairingError) as err:
+            ledger_of(canonical_csv(rows))
+        assert err.value.trade_ids == tripled
+        return
+    ledger = ledger_of(canonical_csv(rows))
+    # a trade's key: buyer, seller, then the amounts and time in fixed point
+    keys = {(f"u{b}", f"u{s}", D0 + sec, btc * 10**8, money * 10**5) for b, s, sec, btc, money in trades}
+    stats = ledger.stats
+    assert stats.raw_rows == len(rows)
+    assert stats.dropped_non_usd == len(non_usd)
+    assert stats.unpaired == orphans
+    assert stats.paired == len(trades)
+    assert stats.deduplicated == len(keys) == len(ledger)
+    assert stats.paired - stats.duplicates_removed == stats.deduplicated
+    assert sorted((t.buyer, t.seller, t.ts, t.bitcoins_e8, t.money_e5) for t in ledger) == sorted(keys)

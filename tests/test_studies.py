@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from goxlens.econometrics import granger, irf, var_fit
 from goxlens import studies
+from goxlens.detect import TimeWindow
 from goxlens.errors import AnalysisAbort, DataError, StationarityError, TrainingDivergence
 from goxlens.features import (
     ASSET_COLUMNS,
     STUDY_SERIES,
     AssetBarSeries,
+    BarSeries,
     QuartileLabel,
     WeeklyBucket,
 )
@@ -609,3 +612,17 @@ def test_input_digests_track_content():
     bars_c = _positive_noise_bars(1, n=48)
     assert digest_bars(bars_a) == digest_bars(bars_b)
     assert digest_bars(bars_a) != digest_bars(bars_c)
+
+    # a loaded bars.csv is digested as the text read: for a file to_csv wrote,
+    # that is the frame's digest; other spellings of the same bars differ
+    buf = io.StringIO()
+    bars_a.to_csv(buf)
+    loaded = BarSeries.from_csv(io.StringIO(buf.getvalue()), label="test")
+    assert loaded.source_digest == digest_bars(loaded) == digest_bars(bars_a)
+    respelled = BarSeries.from_csv(io.StringIO(buf.getvalue().replace("\r\n", "\n")), label="test")
+    np.testing.assert_array_equal(respelled.matrix(), bars_a.matrix())
+    assert digest_bars(respelled) != digest_bars(bars_a)
+    # slices have no source text and are re-serialized
+    window = TimeWindow(bars_a.start[4], bars_a.start[20])
+    assert loaded.slice(window).source_digest is None
+    assert digest_bars(loaded.slice(window)) == digest_bars(bars_a.slice(window))

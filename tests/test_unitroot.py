@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from goxlens.econometrics import adf, critical_values, default_max_lag, ols
+from goxlens.econometrics import adf, critical_values, default_max_lag, ols, unitroot
+from goxlens.econometrics.unitroot import _adf_tstat
 from goxlens.errors import DataError, DegenerateSeriesError
 
 
@@ -74,3 +75,96 @@ def test_constant_series_is_degenerate():
 def test_short_series_rejected():
     with pytest.raises(DataError):
         adf(np.arange(5.0))
+
+
+# --- the AIC lag search ------------------------------------------------------
+#
+# `_adf_tstat` picks the lag from one QR of the max-lag design. The reference
+# below is the per-lag search: one `ols` fit per lag on the common sample,
+# then the chosen lag refitted with `ols` on its own maximal sample.
+# Its design columns are scaled to unit norm, which leaves every RSS
+# unchanged in exact arithmetic. Without that, `ols`'s SVD loses most RSS
+# digits on a series near 1e9, where the level column is 1e9 times the
+# lagged differences.
+
+TINY = np.finfo(float).tiny
+
+
+def _design(y, lag, start):
+    dy = np.diff(y)
+    rows = np.arange(start, len(y) - 1)
+    return dy[rows], np.column_stack([y[rows]] + [dy[rows - j] for j in range(1, lag + 1)])
+
+
+def _reference(y, max_lag, constant, scaled=True):
+    best = (np.inf, 0)
+    for lag in range(max_lag + 1):
+        dep, X = _design(y, lag, max_lag)
+        if scaled:
+            X = X / np.linalg.norm(X, axis=0)
+        fit = ols(dep, X, intercept=constant)
+        k = X.shape[1] + (1 if constant else 0)
+        aic = np.log(max(fit.rss, TINY) / len(dep)) + 2.0 * k / len(dep)
+        if aic < best[0]:
+            best = (aic, lag)
+    lag = best[1]
+    dep, X = _design(y, lag, lag)
+    fit = ols(dep, X, intercept=constant)
+    return float(fit.tvalues[1 if constant else 0]), lag, len(dep)
+
+
+def _path(kind, n, rng):
+    e = rng.standard_normal(n)
+    if kind == "walk":
+        return np.cumsum(e)
+    if kind == "offset":
+        return 1e9 + np.cumsum(e)
+    phi = {"ar1": 0.5, "near_unit": 0.99}[kind]
+    y = np.empty(n)
+    y[0] = e[0]
+    for t in range(1, n):
+        y[t] = phi * y[t - 1] + e[t]
+    return y
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("kind", ["walk", "ar1", "near_unit", "offset"])
+def test_qr_lag_search_matches_per_lag_ols(kind, constant):
+    rng = np.random.default_rng([7, len(kind), int(constant)])
+    lengths = [40, 41, 336, 5760, *rng.integers(42, 1500, size=8).tolist()]
+    for n in lengths:
+        y = _path(kind, n, rng)
+        max_lag = min(default_max_lag(n), n - 25)
+        got = _adf_tstat(y, max_lag, "aic", constant)
+        assert got == _reference(y, max_lag, constant), (kind, n)
+
+
+def _count_ols(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ols(*args, **kwargs)
+
+    monkeypatch.setattr(unitroot, "ols", counted)
+    return calls
+
+
+def test_qr_lag_search_fits_ols_once(monkeypatch):
+    calls = _count_ols(monkeypatch)
+    y = np.cumsum(np.random.default_rng(4).standard_normal(500))
+    res = adf(y)
+    assert len(calls) == 1  # the refit of the chosen lag
+    assert res.lag <= default_max_lag(500)
+
+
+def test_rank_deficient_design_takes_the_per_lag_fallback(monkeypatch):
+    # differences repeat with period 2: the constant equals dy[t-1] + dy[t-2]
+    # up to scale, and dy[t-1] equals dy[t-3], so the max-lag design loses rank
+    y = np.cumsum(np.tile([1.0, -0.5], 100))
+    max_lag = default_max_lag(len(y))
+    want = _reference(y, max_lag, True, scaled=False)
+    calls = _count_ols(monkeypatch)
+    got = _adf_tstat(y, max_lag, "aic", True)
+    assert len(calls) == max_lag + 2  # one fit per lag, then the refit
+    assert repr(got) == repr(want)
