@@ -210,8 +210,11 @@ def _seed_words(seed: int, n: int) -> list[int]:
 
 # Model families in report order, and the order the worker pool takes them:
 # longest first, so the recurrent fits start at once and the short ones fill in.
+# Single-process fit times on timing_120d bars (4,015 training rows x 21
+# features, 2-core host): lstm 5.1 s, gru 5.0 s, gradient 0.9-1.5 s, forest
+# 0.5-0.7 s, adaboost 0.1-0.2 s, tree 0.02 s.
 _FAMILIES = ("tree", "forest", "gradient_second_order", "adaboost_regression", "gru", "lstm")
-_LONGEST_FIRST = ("lstm", "gru", "gradient_second_order", "adaboost_regression", "forest", "tree")
+_LONGEST_FIRST = ("lstm", "gru", "gradient_second_order", "forest", "adaboost_regression", "tree")
 
 
 def _fit_family(ds, family: str, seed: int):

@@ -9,6 +9,8 @@ from goxlens.ml import (
     train_forest,
     train_tree,
 )
+from goxlens.ml import trees
+from goxlens.ml.dataset import LaggedDataset
 
 from conftest import planted_reports
 
@@ -144,6 +146,105 @@ def test_boost_deterministic():
     b = train_boost(ds, "adaboost_regression", n_rounds=20, seed=3)
     assert np.array_equal(a.importances, b.importances)
     assert np.array_equal(a.predict(ds.X_test), b.predict(ds.X_test))
+
+
+# --- pre-sorted rows against a per-node sort ---------------------------------
+
+
+def _per_node_order(X, idx):
+    """Each feature's node rows from a stable sort of that node alone."""
+    return np.array([idx[np.argsort(X[idx, j], kind="mergesort")] for j in range(X.shape[1])])
+
+
+class _PerNodeSort:
+    """Reference splitter: ignores the pre-sorted rows and sorts every node anew."""
+
+    def best_split(self, idx, ranked, features):
+        return super().best_split(idx, _per_node_order(self.X, idx), features)
+
+
+class _RefSseSplitter(_PerNodeSort, trees._SseSplitter):
+    pass
+
+
+class _RefGradSplitter(_PerNodeSort, trees._GradSplitter):
+    pass
+
+
+def _tie_heavy_ds(seed):
+    """Features with many ties: coarse rounding, long zero runs, a constant column."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(90, 260))
+    zero_runs = rng.standard_normal(n)
+    zero_runs[: n // 3] = 0.0
+    zero_runs[n // 2 : n // 2 + n // 5] = 0.0
+    X = np.column_stack(
+        [
+            np.round(rng.standard_normal(n)),
+            zero_runs,
+            np.full(n, 1.5),
+            rng.integers(0, 3, n).astype(np.float64),
+            np.round(rng.uniform(0.0, 1.0, n), 1),
+            rng.uniform(0.0, 1.0, n),
+        ]
+    )
+    y = X[:, 0] + 0.5 * (X[:, 1] > 0) + 0.3 * rng.standard_normal(n)
+    if seed % 2:
+        y = np.round(y, 1)  # ties in the target as well
+    columns = [f"c{j}" for j in range(X.shape[1])]
+    return LaggedDataset(X=X, y=y, columns=columns, target="y", lags=(1,), split=int(0.7 * n))
+
+
+_FITS = {
+    "tree": lambda ds: train_tree(ds),
+    "forest": lambda ds: train_forest(ds, n_trees=12, seed=5, threads=1),
+    "forest_threads_2": lambda ds: train_forest(ds, n_trees=12, seed=5, threads=2),
+    "gradient": lambda ds: train_boost(ds, "gradient_second_order", n_rounds=15),
+    "adaboost": lambda ds: train_boost(ds, "adaboost_regression", n_rounds=15),
+}
+
+
+def _fingerprint(model, ds):
+    return (
+        model.importances.tobytes(),
+        model.predict(ds.X_train).tobytes(),
+        model.predict(ds.X_test).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_presorted_rows_match_a_per_node_sort(seed, monkeypatch):
+    ds = _tie_heavy_ds(seed)
+    got = {name: _fingerprint(fit(ds), ds) for name, fit in _FITS.items()}
+    monkeypatch.setattr(trees, "_SseSplitter", _RefSseSplitter)
+    monkeypatch.setattr(trees, "_GradSplitter", _RefGradSplitter)
+    for name, fit in _FITS.items():
+        assert got[name] == _fingerprint(fit(ds), ds), name
+
+
+def test_each_fit_sorts_once(monkeypatch):
+    ds = _ds(seed=13, signal=2.0)
+    calls = []
+    real_argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(1)
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(trees.np, "argsort", counting_argsort)
+    counts = {}
+    for name, fit in {
+        "tree": lambda: train_tree(ds),
+        "forest_3": lambda: train_forest(ds, n_trees=3, seed=0),
+        "forest_10": lambda: train_forest(ds, n_trees=10, seed=0, threads=2),
+        "gradient_5": lambda: train_boost(ds, "gradient_second_order", n_rounds=5),
+        "gradient_20": lambda: train_boost(ds, "gradient_second_order", n_rounds=20),
+        "adaboost_10": lambda: train_boost(ds, "adaboost_regression", n_rounds=10),
+    }.items():
+        calls.clear()
+        fit()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(counts, 1)
 
 
 # --- shared invariants -------------------------------------------------------
