@@ -2,9 +2,9 @@
 
 Everything downstream runs on five aligned series built here from flagged
 trades: wash volume, nonwash volume, total volume, Amihud illiquidity ("liq")
-and realized volatility ("vol"). Also: percent changes, supply interpolation,
-daily wash-volume quartiles, ISO-week rollups with a stationarity filter, and
-external asset bars with closed-market zeros.
+and realized volatility ("vol"). Also: the bars.csv codec, supply
+interpolation, daily wash-volume quartiles, ISO-week rollups with a
+stationarity filter, and external asset bars with closed-market zeros.
 
 Measure conventions (the bar-level formulas are ours; sources define only the
 names): Amihud is |log return of bar VWAP| per unit of bar dollar volume,
@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .detect import FlaggedLedger, TimeWindow
 from .errors import DataError, DegenerateSeriesError
@@ -40,7 +41,6 @@ from .ingest import (
     _open_text,
     fmt_date,
     fmt_ts,
-    format_scaled,
     parse_scaled,
     parse_ts,
 )
@@ -77,21 +77,24 @@ def realized_vol(prices: Sequence[float]) -> float:
     return total
 
 
-def pct_change(series: np.ndarray) -> np.ndarray:
-    """100 * (x_t - x_{t-1}) / x_{t-1}; 0 at t=0 and wherever x_{t-1} = 0."""
-    x = np.asarray(series, dtype=np.float64)
-    out = np.zeros_like(x)
-    prev = x[:-1]
-    np.divide(x[1:] - prev, prev, out=out[1:], where=prev != 0.0)
-    out *= 100.0
-    return out
-
-
 #: bars.csv columns, in file order.
 BARS_HEADER = ["start", "wash", "nonwash", "total", "dollar", "vwap", "amihud", "rvol"]
 
-# BarSeries columns and their dtypes, in constructor order; from_csv parses
-# each bars.csv row into one record of this layout
+# The header line `to_csv` writes; `_read_canonical` takes only files that open with it
+_HEADER_LINE = ",".join(BARS_HEADER) + "\r\n"
+# Most whole digits `_read_canonical` takes in a fixed-point cell: every value
+# stays below 10**18 at either scale, so total and wash + nonwash fit in int64
+_MAX_WHOLE = {BTC_DECIMALS: 10, MONEY_DECIMALS: 13}
+# Longest float cell `_read_canonical` takes; repr() of a float is at most 24 long
+_MAX_FLOAT_WIDTH = 32
+# Rows per block wherever the codec holds text or Python objects per cell. A
+# whole column of them (5 MB of start strings at 33,360 bars) would, once
+# freed, raise glibc's dynamic mmap threshold and leave later arrays on the
+# heap, which measurably raised the peak RSS of the command loading the bars.
+_BLOCK = 4096
+
+# BarSeries columns and their dtypes, in constructor order; `_parse_bar_row`
+# makes one record of this layout per bars.csv row
 _COLUMNS = np.dtype(
     [
         ("start", np.int64),
@@ -183,43 +186,52 @@ class BarSeries:
         return BarSeries(*columns, window, self.label)
 
     def to_csv(self, stream) -> None:
-        # cells are made row by row as the writer pulls them, not held per column
+        """Write bars.csv: CRLF lines, the `fmt_ts` and `format_scaled` spellings."""
+
         def fixed(values: np.ndarray, decimals: int):
-            return (format_scaled(v, decimals) for v in values.tolist())
+            if len(values) and values.min() < 0:
+                raise ValueError("negative fixed-point value")
+            whole, frac = np.divmod(values, 10**decimals)
+            return map(f"%d.%0{decimals}d".__mod__, zip(whole.tolist(), frac.tolist()))
 
         w = csv.writer(stream)
         w.writerow(BARS_HEADER)
-        w.writerows(
-            zip(
-                map(fmt_ts, self.start.tolist()),
-                fixed(self.wash_e8, BTC_DECIMALS),
-                fixed(self.nonwash_e8, BTC_DECIMALS),
-                fixed(self.wash_e8 + self.nonwash_e8, BTC_DECIMALS),
-                fixed(self.dollar_e5, MONEY_DECIMALS),
-                ("" if v != v else v for v in self.vwap.tolist()),  # csv writes repr()
-                self.amihud.tolist(),
-                self.rvol.tolist(),
+        for i in range(0, len(self), _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            wash, nonwash = self.wash_e8[rows], self.nonwash_e8[rows]
+            starts = np.datetime_as_string(self.start[rows].astype("datetime64[s]"))
+            w.writerows(
+                zip(
+                    np.strings.replace(starts, "T", " ").tolist(),
+                    fixed(wash, BTC_DECIMALS),
+                    fixed(nonwash, BTC_DECIMALS),
+                    fixed(wash + nonwash, BTC_DECIMALS),
+                    fixed(self.dollar_e5[rows], MONEY_DECIMALS),
+                    ("" if v != v else v for v in self.vwap[rows].tolist()),  # csv writes repr()
+                    self.amihud[rows].tolist(),
+                    self.rvol[rows].tolist(),
+                )
             )
-        )
 
     @classmethod
     def from_csv(cls, source: Source, label: str = "mtgox") -> "BarSeries":
+        """Load bars.csv, checking every row (`DataError` names the first bad line).
+
+        Text in exactly the layout `to_csv` writes is read a column at a time;
+        any other text, valid or not, is parsed row by row by `_parse_bar_row`.
+        """
         fh, should_close = _open_text(source)
         try:
             text = fh.read()
         finally:
             if should_close:
                 fh.close()
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != BARS_HEADER:
-            raise DataError(f"bad bars header: {header}; expected {BARS_HEADER}")
-        parsed = (_parse_bar_row(row, reader.line_num) for row in reader if row)
-        rows = np.fromiter(parsed, _COLUMNS)
-        if not len(rows):
-            raise DataError("empty bars file")
-        window = TimeWindow(int(rows["start"][0]), int(rows["start"][-1]) + BAR_SECONDS)
-        bars = cls(*(rows[name] for name in _COLUMNS.names), window, label)
+        columns = _read_canonical(text)
+        if columns is None:
+            columns = _read_rows(text)
+        start = columns[0]
+        window = TimeWindow(int(start[0]), int(start[-1]) + BAR_SECONDS)
+        bars = cls(*columns, window, label)
         # a file `to_csv` wrote holds exactly the text re-serializing would give
         bars.source_digest = content_digest("bars", label, text)
         return bars
@@ -234,6 +246,140 @@ def content_digest(*parts) -> str:
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)
     return h.hexdigest()
+
+
+def _read_rows(text: str) -> tuple:
+    """bars.csv text as `_COLUMNS` arrays, parsed row by row by `_parse_bar_row`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != BARS_HEADER:
+        raise DataError(f"bad bars header: {header}; expected {BARS_HEADER}")
+    parsed = (_parse_bar_row(row, reader.line_num) for row in reader if row)
+    rows = np.fromiter(parsed, _COLUMNS)
+    if not len(rows):
+        raise DataError("empty bars file")
+    return tuple(rows[name] for name in _COLUMNS.names)
+
+
+def _read_canonical(text: str) -> Optional[tuple]:
+    """bars.csv text as `_COLUMNS` arrays if it is in the layout `to_csv` writes, else None.
+
+    That layout is the exact header, then CRLF lines of eight unquoted cells:
+    `start` spelled as by `fmt_ts` on one 30-minute grid, fixed-point amounts
+    with exactly the scale's fractional digits, total = wash + nonwash. Each
+    check runs on whole columns; float cells go through float() as in
+    `_parse_bar_row`. Whatever this accepts, `_parse_bar_row` accepts with the
+    same values; it returns None on anything else, valid or not.
+    """
+    if not (text.startswith(_HEADER_LINE) and text.endswith("\r\n") and text.isascii()):
+        return None
+    data = text.encode("ascii")
+    n_lines = data.count(b"\r\n")  # the header included
+    if data.count(b"\r") != n_lines or data.count(b"\n") != n_lines:
+        return None
+    # nothing here undoes csv quoting, and `_read_floats` would drop a NUL ending a cell
+    if b'"' in data or b"\0" in data:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    delim = buf == ord(",")
+    delim |= buf == ord("\r")
+    cuts = np.flatnonzero(delim)
+    del delim
+    if len(cuts) != 8 * n_lines or n_lines < 2:
+        return None
+    cuts = cuts.reshape(n_lines, 8)
+    if np.any(buf[cuts[:, 7]] != ord("\r")):  # so each line holds exactly 7 commas
+        return None
+    # cell k of data row i spans buf[lo(k)[i]:hi[i, k]]; row 0 of `cuts` is the header
+    hi = cuts[1:]
+
+    def lo(k: int) -> np.ndarray:
+        return cuts[:-1, 7] + 2 if k == 0 else hi[:, k - 1] + 1
+
+    n = len(hi)
+    first = lo(0)
+    if np.any(hi[:, 0] - first != 19):
+        return None
+    a = int(first[0])
+    try:
+        start = parse_ts(text[a : a + 19]) + BAR_SECONDS * np.arange(n, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    for i in range(0, n, _BLOCK):
+        grid = np.datetime_as_string(start[i : i + _BLOCK].astype("datetime64[s]"))
+        if np.any(np.strings.str_len(grid) != 19):  # a year past 9999 or before 0
+            return None
+        grid = grid.astype("S19").view(np.uint8).reshape(len(grid), 19)
+        grid[:, 10] = ord(" ")  # fmt_ts puts a space where ISO has "T"
+        if not np.array_equal(_right_aligned(buf, hi[i : i + _BLOCK, 0], 19), grid):
+            return None
+
+    fixed = [_read_fixed(buf, lo(k), hi[:, k], d) for k, d in zip((1, 2, 3, 4), (8, 8, 8, 5))]
+    if any(c is None for c in fixed):
+        return None
+    wash, nonwash, total, dollar = fixed
+    if not np.array_equal(total, wash + nonwash):
+        return None
+
+    priced = hi[:, 5] > lo(5)  # an empty vwap cell is NaN
+    vwap = np.full(n, math.nan)
+    try:
+        vwap[priced] = _read_floats(buf, lo(5)[priced], hi[priced, 5])
+        amihud = _read_floats(buf, lo(6), hi[:, 6])
+        rvol = _read_floats(buf, lo(7), hi[:, 7])
+    except ValueError:
+        return None
+    return start, wash, nonwash, dollar, np.zeros(n, np.int64), vwap, amihud, rvol
+
+
+def _right_aligned(buf: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """(len(hi), width) bytes: row i is buf[hi[i] - width:hi[i]].
+
+    Every cell `_read_canonical` reads has the header line (longer than any
+    width asked for) before it, so no window starts before the buffer.
+    """
+    return sliding_window_view(buf, width)[hi - width]
+
+
+def _read_fixed(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, decimals: int):
+    """Cells buf[lo:hi] spelled `<1.._MAX_WHOLE digits>.<decimals digits>` as int64, else None."""
+    width = _MAX_WHOLE[decimals] + 1 + decimals
+    size = hi - lo
+    if size.min() < decimals + 2 or size.max() > width:
+        return None
+    chars = _right_aligned(buf, hi, width)
+    point = width - 1 - decimals
+    if np.any(chars[:, point] != ord(".")):
+        return None
+    digits = chars - np.uint8(ord("0"))
+    digits[np.arange(width) < (width - size)[:, None]] = 0  # before the cell
+    digits[:, point] = 0
+    if np.any(digits > 9):
+        return None
+    value = np.zeros(len(hi), np.int64)
+    for c in range(width):
+        if c != point:
+            value = value * 10 + digits[:, c]
+    return value
+
+
+def _read_floats(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cells buf[lo:hi] through float(); ValueError if one fails or is over `_MAX_FLOAT_WIDTH`."""
+    if not len(hi):
+        return np.empty(0)
+    size = hi - lo
+    width = max(int(size.max()), 1)
+    if width > _MAX_FLOAT_WIDTH:
+        raise ValueError("float cell too long")
+    chars = _right_aligned(buf, hi, width)
+    # float() skips leading blanks, so padding a cell with them keeps its value
+    chars[np.arange(width) < (width - size)[:, None]] = ord(" ")
+    cells = chars.view(f"S{width}").ravel()
+    out = np.empty(len(cells))
+    for i in range(0, len(cells), _BLOCK):
+        part = cells[i : i + _BLOCK].tolist()
+        out[i : i + len(part)] = np.fromiter(map(float, part), np.float64, len(part))
+    return out
 
 
 def _parse_bar_row(row: list[str], line: int) -> tuple:

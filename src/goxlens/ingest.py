@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -85,6 +86,13 @@ def _date_to_epoch(text: str) -> int:
     return ts
 
 
+# The fast path takes only this exact layout; anything else goes to
+# fromisoformat, which parses the other ISO spellings or raises.
+_CANONICAL_TS = re.compile(
+    r"(\d{4}-\d\d-\d\d)[ T]([01]\d|2[0-3]):([0-5]\d):([0-5]\d)", re.ASCII
+)
+
+
 def parse_ts(text: str) -> int:
     """'YYYY-MM-DD HH:MM:SS' (or ISO 'T', or plain epoch digits) to epoch seconds."""
     t = text.strip()
@@ -93,13 +101,10 @@ def parse_ts(text: str) -> int:
     if t.endswith("Z") or t.endswith("z"):  # fromisoformat rejects this before 3.11
         t = t[:-1] + "+00:00"
     try:
-        if len(t) == 19 and t[10] in " T":
-            return (
-                _date_to_epoch(t[:10])
-                + 3600 * int(t[11:13])
-                + 60 * int(t[14:16])
-                + int(t[17:19])
-            )
+        m = _CANONICAL_TS.fullmatch(t)
+        if m:
+            day, hh, mm, ss = m.groups()
+            return _date_to_epoch(day) + 3600 * int(hh) + 60 * int(mm) + int(ss)
         dt = datetime.fromisoformat(t)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad timestamp: {text!r}") from exc
@@ -125,11 +130,6 @@ def fmt_ts(ts: int) -> str:
 
 def fmt_date(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
-
-
-def day_of(ts: int) -> int:
-    """Epoch seconds to the epoch of its UTC midnight."""
-    return ts - ts % DAY
 
 
 @dataclass(slots=True)

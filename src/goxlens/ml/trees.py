@@ -5,8 +5,10 @@ sorted rows) and a depth cap of 3 by default. Each fit sorts every feature
 once, as XGBoost's pre-sorted column block does (Chen & Guestrin, KDD 2016):
 a node receives, per feature, its own rows in stable ascending order of that
 feature, and a split partitions those orders between its children without
-sorting again. Split quality is squared-error reduction; the second-order
-boosting mode swaps in a gradient/hessian gain with an L2 leaf penalty.
+sorting again. Features are read from a column-major copy of the training
+matrix, also made once per fit. Split quality is squared-error reduction;
+the second-order boosting mode swaps in a gradient/hessian gain with an L2
+leaf penalty.
 Importances are split gains accumulated per feature: averaged over trees for
 the forest, summed over rounds for boosting.
 
@@ -58,20 +60,23 @@ def _predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank_features(X: np.ndarray) -> np.ndarray:
-    """(n_features, n) row indices; row j lists all rows in stable order of X[:, j].
+def _column_block(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A fit's feature columns, XT = X.T in contiguous rows, and each one's row order.
 
-    A node's rows are ascending, so the stable order restricted to them is what
-    a stable sort of that node alone would give, ties and all.
+    Row j of the order lists all rows in stable order of X[:, j]. A node's
+    rows are ascending, so the stable order restricted to them is what a stable
+    sort of that node alone would give, ties and all. Splitters gather feature
+    j of a node's rows from XT[j], a contiguous row, not a strided column of X.
     """
-    return np.argsort(X.T, axis=1, kind="stable")
+    XT = np.ascontiguousarray(X.T)
+    return XT, np.argsort(XT, axis=1, kind="stable")
 
 
 class _SseSplitter:
     """Weighted squared-error splitter; leaf value is the weighted mean."""
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, w: np.ndarray):
-        self.X, self.y, self.w = X, y, w
+    def __init__(self, XT: np.ndarray, y: np.ndarray, w: np.ndarray):
+        self.XT, self.y, self.w = XT, y, w
 
     def leaf_value(self, idx: np.ndarray) -> float:
         wv = self.w[idx]
@@ -91,7 +96,7 @@ class _SseSplitter:
         best = None
         for j in features:
             rows = ranked[j]
-            xs = self.X[rows, j]
+            xs = self.XT[j][rows]
             if xs[0] == xs[-1]:
                 continue
             ys = self.y[rows]
@@ -114,8 +119,8 @@ class _SseSplitter:
 class _GradSplitter:
     """Second-order splitter on (gradient, unit hessian) with L2 leaf penalty."""
 
-    def __init__(self, X: np.ndarray, g: np.ndarray, reg_lambda: float):
-        self.X, self.g, self.lam = X, g, reg_lambda
+    def __init__(self, XT: np.ndarray, g: np.ndarray, reg_lambda: float):
+        self.XT, self.g, self.lam = XT, g, reg_lambda
 
     def leaf_value(self, idx: np.ndarray) -> float:
         return float(-self.g[idx].sum() / (len(idx) + self.lam))
@@ -131,7 +136,7 @@ class _GradSplitter:
         best = None
         for j in features:
             rows = ranked[j]
-            xs = self.X[rows, j]
+            xs = self.XT[j][rows]
             if xs[0] == xs[-1]:
                 continue
             cg = np.cumsum(self.g[rows])[:-1]
@@ -162,7 +167,7 @@ def _grow(
     node = _Node(value=splitter.leaf_value(idx))
     if depth >= max_depth or len(idx) < 2:
         return node
-    n_features = splitter.X.shape[1]
+    n_features = len(splitter.XT)
     if rng is not None and n_subset < n_features:
         features = np.sort(rng.choice(n_features, size=n_subset, replace=False))
     else:
@@ -173,9 +178,9 @@ def _grow(
     j, threshold, gain = found
     importances[j] += gain
     node.feature, node.threshold = j, threshold
-    mask = splitter.X[idx, j] <= threshold
+    mask = splitter.XT[j][idx] <= threshold
     left, right = idx[mask], idx[~mask]
-    go = np.zeros(len(splitter.X), dtype=bool)
+    go = np.zeros(splitter.XT.shape[1], dtype=bool)
     go[left] = True
     went = go[ranked]  # each row of `ranked` keeps its order within each side
     f = len(ranked)
@@ -251,9 +256,10 @@ def train_tree(ds: LaggedDataset, max_depth: int = 3) -> TreeModel:
     _check_train_rows(ds)
     X, y = ds.X_train, ds.y_train
     importances = np.zeros(ds.n_features)
-    splitter = _SseSplitter(X, y, np.ones(len(y)))
+    XT, ranked = _column_block(X)
+    splitter = _SseSplitter(XT, y, np.ones(len(y)))
     idx = np.arange(len(y))
-    root = _grow(splitter, idx, _rank_features(X), 0, max_depth, importances, None, ds.n_features)
+    root = _grow(splitter, idx, ranked, 0, max_depth, importances, None, ds.n_features)
     return TreeModel("cart", list(ds.columns), importances, root)
 
 
@@ -271,13 +277,13 @@ def train_forest(
     f = ds.n_features
     n_subset = max(1, f // 3)
     streams = np.random.SeedSequence(seed).spawn(n_trees)
-    order = _rank_features(X)
+    XT, order = _column_block(X)
 
     def one_tree(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n)
         imp = np.zeros(f)
-        splitter = _SseSplitter(X, y, np.bincount(rows, minlength=n).astype(np.float64))
+        splitter = _SseSplitter(XT, y, np.bincount(rows, minlength=n).astype(np.float64))
         # Weighted fit on bootstrap counts; rows with zero weight must not
         # enter the splitter, so index the positive-count subset.
         member = splitter.w > 0
@@ -330,9 +336,9 @@ def _train_gradient(
     F = np.full(len(y), base)
     if y.min() != y.max():
         idx = np.arange(len(y))
-        ranked = _rank_features(X)
+        XT, ranked = _column_block(X)
         for _ in range(n_rounds):
-            splitter = _GradSplitter(X, F - y, lam)
+            splitter = _GradSplitter(XT, F - y, lam)
             root = _grow(splitter, idx, ranked, 0, max_depth, importances, None, ds.n_features)
             roots.append(root)
             F += lr * _predict_tree(root, X)
@@ -361,9 +367,9 @@ def _train_adaboost(ds: LaggedDataset, n_rounds: int, max_depth: int, seed: int)
             "weighted_median",
         )
 
-    ranked = _rank_features(X)
+    XT, ranked = _column_block(X)
     for _ in range(n_rounds):
-        splitter = _SseSplitter(X, y, w)
+        splitter = _SseSplitter(XT, y, w)
         imp = np.zeros(ds.n_features)
         root = _grow(splitter, idx, ranked, 0, max_depth, imp, None, ds.n_features)
         pred = _predict_tree(root, X)
@@ -392,7 +398,7 @@ def _train_adaboost(ds: LaggedDataset, n_rounds: int, max_depth: int, seed: int)
 
     weights = np.array(alphas) if alphas else np.array([1.0])
     if not roots:  # constant target: single pure leaf
-        splitter = _SseSplitter(X, y, np.full(n, 1.0 / n))
+        splitter = _SseSplitter(XT, y, np.full(n, 1.0 / n))
         roots = [_Node(value=splitter.leaf_value(idx))]
     return BoostModel(
         "adaboost", list(ds.columns), importances, roots, weights, 0.0, "weighted_median"

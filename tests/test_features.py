@@ -7,29 +7,31 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from goxlens import features
 from goxlens.detect import TimeWindow, flag_wash
 from goxlens.errors import DataError
 from goxlens.features import (
     ASSET_COLUMNS,
     BAR_SECONDS,
+    BARS_HEADER,
     BARS_PER_DAY,
     STUDY_SERIES,
     BarSeries,
     amihud,
     build_asset_bars,
     build_bars,
+    content_digest,
     daily_quartiles,
     daily_sums,
     filter_stationary_weeks,
     interpolate_supply,
     marketcap_share,
-    pct_change,
     quartile_map,
     realized_vol,
     week_start_of,
     weekly_rollup,
 )
-from goxlens.ingest import BTC_UNIT, DAY, parse_aux, parse_date, parse_ts
+from goxlens.ingest import BTC_UNIT, DAY, MONEY_UNIT, parse_aux, parse_date, parse_ts
 
 from conftest import MONDAY, bars_from_arrays, canonical_csv, halves, ledger_of
 
@@ -83,14 +85,6 @@ def test_rvol_price_scale_invariance():
     assert realized_vol([3.7 * p for p in prices]) == pytest.approx(
         realized_vol(prices), rel=1e-12
     )
-
-
-def test_pct_change_values():
-    assert np.array_equal(pct_change(np.full(5, 42.0)), np.zeros(5))
-    out = pct_change(np.array([100.0, 102.0]))
-    assert out[0] == 0.0 and out[1] == pytest.approx(2.0)
-    # zero previous value emits 0, not inf: closed markets are zero-imputed
-    assert np.array_equal(pct_change(np.array([0.0, 5.0, 5.0])), [0.0, 0.0, 0.0])
 
 
 # --- bar construction --------------------------------------------------------
@@ -199,6 +193,82 @@ def test_bars_csv_round_trip_is_exact():
     assert len(again) == len(bars)
     assert np.array_equal(again.column("wash"), bars.column("wash"))
     assert np.array_equal(again.column("liq"), bars.column("liq"))
+
+
+def test_bars_csv_written_by_to_csv_never_reaches_the_row_parser(tmp_path, monkeypatch):
+    rows = halves("1", "1", "a", "2012-01-01 00:05:00", 1.5, 15.0)
+    rows += halves("1", "2", "b", "2012-01-02 11:35:00", 2.25, 20.0)
+    rows += halves("3", "2", "c", "2012-01-02 11:36:00", 0.0, 7.0)
+    built = build_bars(flagged_from(rows, last_day="2012-01-03"))  # empty bars, NaN vwaps
+    rng = np.random.default_rng(5)
+    n = 2 * features._BLOCK + 300  # the codec's blocks: two whole, one part
+    noisy = bars_from_arrays(
+        rng.uniform(0.0, 1e9, n),  # ten whole digits: the widest the bulk reader takes
+        rng.uniform(0.0, 50.0, n),
+        liq=rng.standard_exponential(n) * 1e-5,
+        vol=np.where(rng.random(n) < 0.5, 0.0, rng.standard_exponential(n)),
+        dollar=rng.uniform(0.0, 1e12, n),
+        t0=parse_date("1999-12-31"),
+    )
+
+    def refuse(row, line):
+        raise AssertionError(f"bars line {line} went to the row parser")
+
+    monkeypatch.setattr(features, "_parse_bar_row", refuse)
+    for bars in (built, noisy):
+        path = tmp_path / "bars.csv"
+        with open(path, "w", newline="") as fh:
+            bars.to_csv(fh)
+        again = BarSeries.from_csv(str(path))
+        text = path.read_bytes().decode()
+        assert again.source_digest == content_digest("bars", "mtgox", text)
+        assert again.window == bars.window
+        for name in ("start", "wash_e8", "nonwash_e8", "dollar_e5", "vwap", "amihud", "rvol"):
+            assert getattr(again, name).tobytes() == getattr(bars, name).tobytes(), name
+    with pytest.raises(AssertionError, match="row parser"):  # the guard is live
+        BarSeries.from_csv(io.StringIO(text.replace("\r\n", "\n")))
+
+
+@pytest.mark.parametrize(
+    "cell, text, reason",
+    [
+        (0, "2012-03-05 00:00:00", "bar grid broken"),  # a grid start off by a week
+        (0, "2012-02-27 24:00:00", "bars line 4502: bad timestamp"),
+        (2, "1.5000000", "bars line 4502: total"),  # 7 decimals: valid, so total differs
+        (3, "1.0000000x", "bars line 4502: malformed amount"),
+        (7, "1e", "bars line 4502: could not convert"),
+    ],
+)
+def test_bars_csv_error_past_the_first_block_names_its_line(cell, text, reason):
+    bars = bars_from_arrays(np.full(2 * features._BLOCK, 1.0), t0=parse_date("2012-01-01"))
+    buf = io.StringIO()
+    bars.to_csv(buf)
+    lines = buf.getvalue().split("\r\n")
+    cells = lines[4501].split(",")  # data row 4501, past the first block of 4096
+    cells[cell] = text
+    lines[4501] = ",".join(cells)
+    with pytest.raises(DataError, match=re.escape(reason)):
+        BarSeries.from_csv(io.StringIO("\r\n".join(lines)))
+
+
+def test_bars_csv_amounts_without_a_point_keep_their_value():
+    # as wide as a canonical cell, but whole BTC: the row parser must read it
+    rest = ",,0.0,0.0\r\n"
+    text = ",".join(BARS_HEADER) + "\r\n"
+    text += "2012-01-01 00:00:00,1234000000,0.00000000,1234000000,0.00000" + rest
+    text += "2012-01-01 00:30:00,0.00000000,0.00000000,0.00000000,1234000000000" + rest
+    bars = BarSeries.from_csv(io.StringIO(text))
+    assert bars.wash_e8.tolist() == [1234000000 * BTC_UNIT, 0]
+    assert bars.dollar_e5.tolist() == [0, 1234000000000 * MONEY_UNIT]
+
+
+def test_bars_csv_grid_past_year_9999_is_left_to_the_row_parser():
+    # 10000-01-01 has no 19-character spelling, so its row (cut to 19) is not read in bulk
+    rest = ",1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0\r\n"
+    text = ",".join(BARS_HEADER) + "\r\n" + "9999-12-31 23:30:00" + rest
+    assert len(BarSeries.from_csv(io.StringIO(text))) == 1
+    with pytest.raises(DataError, match="bars line 3: bad timestamp"):
+        BarSeries.from_csv(io.StringIO(text + "10000-01-0 T00:00:0" + rest))
 
 
 def test_bars_csv_header_enforced():

@@ -9,7 +9,6 @@ from goxlens.ingest import (
     BTC_UNIT,
     DAY,
     MONEY_UNIT,
-    day_of,
     fmt_date,
     fmt_ts,
     format_scaled,
@@ -71,7 +70,46 @@ def test_ts_format_round_trip():
     assert fmt_ts(ts) == "2011-12-31 21:19:04"
     assert parse_ts(fmt_ts(ts)) == ts
     assert fmt_date(ts) == "2011-12-31"
-    assert day_of(ts) == parse_date("2011-12-31")
+    assert ts - ts % DAY == parse_date("2011-12-31")
+
+
+# Each of these once shifted the time silently (25:00 became 01:00 the next
+# day) or read a malformed field as a number.
+BAD_TIMESTAMPS = [
+    "2012-01-01 25:00:00",
+    "2012-01-01 24:00:00",
+    "2012-01-01 00:60:00",
+    "2012-01-01 00:-1:00",
+    "2012-01-01 00:00:99",
+    "2012x01x01 00:00:00",
+    "2012-01-01 1 :00:00",
+    "2012-01-01 +1:00:00",
+    "2012-+1-01 00:00:00",
+    "2012-13-01 00:00:00",
+    "2012-01-01 \u0661\u0662:00:00",  # non-ASCII digits
+]
+
+
+@pytest.mark.parametrize("text", BAD_TIMESTAMPS)
+def test_parse_ts_rejects_malformed_fields(text):
+    with pytest.raises(ValueError, match="bad timestamp"):
+        parse_ts(text)
+
+
+def test_parse_ts_canonical_fields_at_their_bounds():
+    base = parse_date("2012-02-29")
+    assert parse_ts("2012-02-29 23:59:59") == base + DAY - 1
+    assert parse_ts("2012-02-29T00:00:00") == base
+    assert parse_ts(" 2012-02-29 00:00:59 ") == base + 59
+
+
+def test_bad_timestamps_become_row_errors():
+    lines = [MTGOX_HEADER, "u0,1,2012-01-01 00:00:00,NJP,USD,1.5,10.0,buy"]
+    lines += [f"u{i},{i + 2},{ts},NJP,USD,1.5,10.0,buy" for i, ts in enumerate(BAD_TIMESTAMPS)]
+    pr = parse_trade_log(io.StringIO("\n".join(lines) + "\n"), schema="mtgox_leak")
+    assert [r.ts for r in pr.records] == [parse_date("2012-01-01")]
+    assert [line for line, _ in pr.row_errors] == list(range(3, 3 + len(BAD_TIMESTAMPS)))
+    assert all("bad timestamp" in reason for _, reason in pr.row_errors)
 
 
 # --- trade log parsing -------------------------------------------------------

@@ -151,16 +151,16 @@ def test_boost_deterministic():
 # --- pre-sorted rows against a per-node sort ---------------------------------
 
 
-def _per_node_order(X, idx):
+def _per_node_order(XT, idx):
     """Each feature's node rows from a stable sort of that node alone."""
-    return np.array([idx[np.argsort(X[idx, j], kind="mergesort")] for j in range(X.shape[1])])
+    return np.array([idx[np.argsort(x[idx], kind="mergesort")] for x in XT])
 
 
 class _PerNodeSort:
     """Reference splitter: ignores the pre-sorted rows and sorts every node anew."""
 
     def best_split(self, idx, ranked, features):
-        return super().best_split(idx, _per_node_order(self.X, idx), features)
+        return super().best_split(idx, _per_node_order(self.XT, idx), features)
 
 
 class _RefSseSplitter(_PerNodeSort, trees._SseSplitter):

@@ -6,18 +6,24 @@ fixed-point volume from the flagged ledger into the bars, and the bars must
 survive a CSV round trip byte for byte. Per-day sums must equal a plain
 left-to-right sum, and fixed-point amounts must round-trip in any spelling
 the parser accepts. On random half-row ledgers (unpaired ids, non-USD rows,
-ids seen three times) the dedup counts must match a brute-force recount.
+ids seen three times) the dedup counts must match a brute-force recount. On
+random bar frames, the column-at-a-time bars.csv reader and the row parser
+must agree: the same frame and digest from canonical and respelled text, and
+the same error from a row broken in one cell.
 """
 
 import io
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goxlens import features
 from goxlens.detect import TimeWindow, flag_wash
-from goxlens.errors import PairingError
+from goxlens.errors import DataError, PairingError
 from goxlens.features import BAR_SECONDS, STUDY_SERIES, BarSeries, build_bars, daily_sums
 from goxlens.ingest import (
     BTC_DECIMALS,
@@ -27,6 +33,7 @@ from goxlens.ingest import (
     format_scaled,
     parse_date,
     parse_scaled,
+    parse_ts,
 )
 
 from conftest import bars_from_arrays, canonical_csv, halves, ledger_of
@@ -179,3 +186,121 @@ def test_dedup_stats_match_a_brute_force_recount(trades, non_usd, orphans, tripl
     assert stats.deduplicated == len(keys) == len(ledger)
     assert stats.paired - stats.duplicates_removed == stats.deduplicated
     assert sorted((t.buyer, t.seller, t.ts, t.bitcoins_e8, t.money_e5) for t in ledger) == sorted(keys)
+
+
+# --- bars.csv codec: the column-at-a-time reader against the row parser ------
+
+# amounts past the bulk reader's digit bound (10**18) still fit int64 here
+btc_e8 = st.one_of(st.integers(0, 10**12), st.integers(0, 4 * 10**18))
+dollar_e5 = st.one_of(st.integers(0, 10**9), st.integers(0, 2**63 - 1))
+frame = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.integers(0, 2 * 10**5).map(lambda k: D0 + (k - 10**5) * BAR_SECONDS),
+        *(st.lists(cell, min_size=n, max_size=n) for cell in (btc_e8, btc_e8, dollar_e5)),
+        *(st.lists(st.floats(), min_size=n, max_size=n) for _ in range(3)),
+    )
+)
+
+
+def _frame_text(spec) -> str:
+    t0, wash, nonwash, dollar, vwap, liq, vol = spec
+    n = len(wash)
+    bars = BarSeries(
+        t0 + BAR_SECONDS * np.arange(n), wash, nonwash, dollar, np.zeros(n, np.int64),
+        vwap, liq, vol, TimeWindow(t0, t0 + n * BAR_SECONDS),
+    )
+    buf = io.StringIO()
+    bars.to_csv(buf)
+    return buf.getvalue()
+
+
+def _load(text: str, rows_only: bool):
+    """from_csv over `text`, or with the bulk reader turned off; DataError as a value."""
+    bulk_off = mock.patch.object(features, "_read_canonical", return_value=None)
+    with bulk_off if rows_only else nullcontext():
+        try:
+            return BarSeries.from_csv(io.StringIO(text), label="prop")
+        except DataError as err:
+            return str(err)
+
+
+def _same_frame(a, b) -> bool:
+    return (
+        all(
+            getattr(a, name).dtype == getattr(b, name).dtype
+            and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            for name in features._COLUMNS.names
+        )
+        and a.window == b.window
+        and a.label == b.label
+    )
+
+
+def _respell(text: str, data) -> str:
+    """The same bars in other spellings `_parse_bar_row` accepts."""
+    eol = data.draw(st.sampled_from(["\r\n", "\n"]), label="line ending")
+    lines = text.split("\r\n")[:-1]
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        start = cells[0]
+        cells[0] = data.draw(st.sampled_from([
+            start, start.replace(" ", "T"), str(parse_ts(start)) if parse_ts(start) >= 0 else start,
+        ]))
+        for k in (1, 2, 3, 4):
+            whole, frac = cells[k].split(".")
+            frac = frac.rstrip("0")
+            cells[k] = data.draw(st.sampled_from([cells[k], f"{whole}.{frac}" if frac else whole]))
+        cells = [f'"{c}"' if data.draw(st.booleans()) else c for c in cells]
+        out.append(",".join(cells))
+    return eol.join(out) + eol + data.draw(st.sampled_from(["", eol]), label="blank line")
+
+
+@PROPERTY
+@given(frame, st.data())
+def test_bulk_bars_reader_matches_the_row_parser(spec, data):
+    text = _frame_text(spec)
+    bulk = _load(text, rows_only=False)
+    rows = _load(text, rows_only=True)
+    if isinstance(rows, str):  # an amount the row parser rejects: same message both ways
+        assert bulk == rows
+        return
+    assert _same_frame(bulk, rows)
+    assert bulk.source_digest == rows.source_digest == features.content_digest("bars", "prop", text)
+
+    respelled = _respell(text, data)
+    again, again_rows = _load(respelled, rows_only=False), _load(respelled, rows_only=True)
+    assert _same_frame(again, again_rows) and _same_frame(again, bulk)
+    assert again.source_digest == again_rows.source_digest == features.content_digest(
+        "bars", "prop", respelled
+    )
+
+
+BROKEN_CELLS = {
+    0: ["2012-01-01 25:00:00", "2012x01x01 00:00:00", "2012-01-01 00:00:0", "", "now"],
+    1: ["1.0x", "1.123456789", "-1.00000000", "+1.00000000", "1e3", ".", ""],
+    2: ["2.0.0", " ", "1,5"],
+    3: ["9.00000000", "0.00000001"],
+    4: ["1.000001", "0.0000a", "99999999999999.00000"],
+    5: ["zero", "1.0.0"],
+    6: ["", "zero", "1..0"],
+    7: ["", "x"],
+}
+
+
+@PROPERTY
+@given(frame, st.data())
+def test_broken_bars_row_fails_alike_on_both_paths(spec, data):
+    lines = _frame_text(spec).split("\r\n")
+    i = data.draw(st.integers(1, len(lines) - 2), label="row")
+    cells = lines[i].split(",")
+    k = data.draw(st.sampled_from(sorted(BROKEN_CELLS)), label="cell")
+    cells[k] = data.draw(st.sampled_from(BROKEN_CELLS[k]), label="text")
+    lines[i] = ",".join(cells)
+    text = "\r\n".join(lines)
+    bulk, rows = _load(text, rows_only=False), _load(text, rows_only=True)
+    if not isinstance(rows, str):  # the new cell happens to be valid (say, total = wash + nonwash)
+        assert _same_frame(bulk, rows)
+        return
+    assert bulk == rows
+    assert rows.startswith(f"bars line {i + 1}: ") or rows.startswith("bar grid broken")

@@ -16,7 +16,7 @@ from goxlens.features import (
     QuartileLabel,
     WeeklyBucket,
 )
-from goxlens.ingest import DAY, AuxPoint, AuxSeries, day_of
+from goxlens.ingest import DAY, AuxPoint, AuxSeries
 from goxlens.studies import (
     DEFAULT_EVENT_TS,
     EventConfig,
@@ -182,8 +182,8 @@ def _onchain_setup(seed, planted=True, n_days=8):
     bars = bars_from_arrays(10.0 + rng.standard_normal(n), nw)
     per_quartile = n_days // 4
     labels = [
-        QuartileLabel(day_of(MONDAY + d * DAY), 1 + d // per_quartile)
-        for d in range(n_days)
+        QuartileLabel(ts - ts % DAY, 1 + d // per_quartile)
+        for d, ts in enumerate(range(MONDAY, MONDAY + n_days * DAY, DAY))
     ]
     quartiles = np.repeat([1 + d // per_quartile for d in range(n_days)], 48)
     chain = np.empty(n)
@@ -224,7 +224,8 @@ def test_onchain_thin_quartile_marked_insufficient():
     bars, chain, _ = _onchain_setup(2)
     # push every day into Q4 except a single Q1 day
     labels = [
-        QuartileLabel(day_of(MONDAY + d * DAY), 1 if d == 0 else 4) for d in range(8)
+        QuartileLabel(ts - ts % DAY, 1 if d == 0 else 4)
+        for d, ts in enumerate(range(MONDAY, MONDAY + 8 * DAY, DAY))
     ]
     rep = study_onchain(bars, chain, labels, min_bars=60)
     rows = dict(rep.tables["quartiles"].rows)
@@ -252,7 +253,7 @@ def test_onchain_input_validation():
 
 def _market_setup(seed=0, n_days=120, slope_by_quartile=None):
     rng = np.random.default_rng(seed)
-    days = [day_of(MONDAY + d * DAY) for d in range(n_days)]
+    days = [ts - ts % DAY for ts in range(MONDAY, MONDAY + n_days * DAY, DAY)]
     nw = 100.0 + 10.0 * rng.standard_normal(n_days)
     per_quartile = n_days // 4
     labels = [QuartileLabel(d, 1 + i // per_quartile) for i, d in enumerate(days)]
@@ -305,7 +306,7 @@ def test_market_share_and_join_bookkeeping():
     assert dict(rep.tables["quartiles"].rows)["Q4"]["n"] == 29
 
     # hand-check one share row: nonwash 1, market 3 -> 25%
-    d0 = day_of(MONDAY)
+    d0 = MONDAY - MONDAY % DAY
     one = study_market(
         [(d0, 1.0)],
         AuxSeries("market_daily", [AuxPoint(d0, {"volume_btc": 3.0})]),
