@@ -12,7 +12,7 @@ import importlib
 
 # public name -> submodule; each submodule is imported the first time one of
 # its names is read (PEP 562), so `import goxlens.cli` does not pull in the
-# studies, the models or scipy
+# studies or the models (and no module loads scipy at import time)
 _SOURCES = {
     "detect": ("FlaggedLedger", "TimeWindow", "flag_wash"),
     "errors": (

@@ -20,6 +20,11 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+# One BLAS thread per process, set before numpy loads OpenBLAS: the fits are
+# small, a second thread spins without saving wall time, and the parallel
+# work runs in `--threads` worker processes. A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .detect import TimeWindow, flag_wash
@@ -50,9 +55,9 @@ from .synth import SynthSpec, gen_cointegrated_pair, gen_exchange_log, gen_var_p
 if TYPE_CHECKING:
     from .studies import StudyReport
 
-# The studies and models (with scipy.linalg and scipy.special behind them) are
-# imported inside the commands that use them, so ingest, detect and bars start
-# without them.
+# The studies and models are imported inside the commands that use them, so
+# ingest, detect and bars start without them. scipy loads later still, inside
+# the fits that report a p-value or run Johansen.
 
 log = logging.getLogger(__name__)
 

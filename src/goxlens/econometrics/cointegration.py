@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtr
 
 from ..errors import DataError, SingularityError
-from .ols import ols
+from .ols import lstsq, ols
 from .unitroot import _adf_tstat, default_max_lag
 
 # 95% critical values, constant term, by remaining dimension k - r = 1..6.
@@ -74,8 +72,7 @@ def johansen(data, p: int, names: Optional[Sequence[str]] = None) -> JohansenRes
     Z = np.hstack(Z)
 
     def residualize(Y: np.ndarray) -> np.ndarray:
-        B, _, _, _ = scipy.linalg.lstsq(Z, Y, lapack_driver="gelsd")
-        return Y - Z @ B
+        return Y - Z @ lstsq(Z, Y)[0]
 
     R0 = residualize(dep0)
     R1 = residualize(dep1)
@@ -89,6 +86,8 @@ def johansen(data, p: int, names: Optional[Sequence[str]] = None) -> JohansenRes
                 f"{name_mat} numerically singular; collinear or constant levels",
                 columns=names,
             )
+
+    import scipy.linalg  # imported here, so studies that run no Johansen never load it
 
     M = S01.T @ np.linalg.solve(S00, S01)
     eigvals = scipy.linalg.eigh(M, S11, eigvals_only=True)
@@ -168,6 +167,8 @@ EG_LARGE_P = np.array(
 
 def mackinnon_pvalue(stat: float, n_series: int = 2) -> float:
     """Residual-test p-value from the constant-case response surface."""
+    from scipy.special import ndtr
+
     if not 1 <= n_series <= 6:
         raise DataError(f"n_series must be in 1..6, got {n_series}")
     i = n_series - 1

@@ -5,10 +5,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import stdtr
 
 from ..errors import DataError
+
+# scipy.linalg.lstsq's default cutoff: singular values below eps * s_max are zero
+_RCOND = np.finfo(np.float64).eps
+
+
+def lstsq(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimum-norm least-squares solution of X B = Y (LAPACK gelsd) and the rank of X.
+
+    The same driver and cutoff as `scipy.linalg.lstsq(X, Y, lapack_driver="gelsd")`,
+    through numpy, so a fit does not import scipy. Y may be 1-d or 2-d.
+    """
+    for name, a in (("design", X), ("response", Y)):
+        if not np.isfinite(a).all():
+            raise DataError(f"least-squares {name} of shape {a.shape} has non-finite values")
+    B, _, rank, _ = np.linalg.lstsq(X, Y, rcond=_RCOND)
+    return B, int(rank)
 
 
 @dataclass
@@ -16,7 +30,6 @@ class OlsFit:
     params: np.ndarray  # intercept first when fitted with one
     bse: np.ndarray
     tvalues: np.ndarray
-    pvalues: np.ndarray
     rsquared_adj: float
     resid: np.ndarray
     nobs: int
@@ -27,6 +40,14 @@ class OlsFit:
     @property
     def rss(self) -> float:
         return float(self.resid @ self.resid)
+
+    @property
+    def pvalues(self) -> np.ndarray:
+        """Two-sided t-test p-values with df_resid degrees of freedom."""
+        # imported here, so fits that report no p-value never load scipy
+        from scipy.special import stdtr
+
+        return 2.0 * stdtr(self.df_resid, -np.abs(self.tvalues))
 
 
 def ols(y, X, intercept: bool = True) -> OlsFit:
@@ -49,7 +70,7 @@ def ols(y, X, intercept: bool = True) -> OlsFit:
     if n <= k + 1:
         raise DataError(f"need more than {k + 1} observations, got {n}")
 
-    params, _, rank, _ = scipy.linalg.lstsq(X, y, lapack_driver="gelsd")
+    params, rank = lstsq(X, y)
     resid = y - X @ params
     rss = float(resid @ resid)
     df_resid = n - rank
@@ -58,7 +79,6 @@ def ols(y, X, intercept: bool = True) -> OlsFit:
     bse = np.sqrt(np.clip(np.diag(xtx_inv), 0.0, None) * s2)
     with np.errstate(divide="ignore", invalid="ignore"):
         tvalues = np.where(bse > 0.0, params / np.where(bse > 0.0, bse, 1.0), np.inf * np.sign(params))
-    pvalues = 2.0 * stdtr(df_resid, -np.abs(tvalues))
 
     if intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -74,11 +94,10 @@ def ols(y, X, intercept: bool = True) -> OlsFit:
         params=params,
         bse=bse,
         tvalues=tvalues,
-        pvalues=pvalues,
         rsquared_adj=float(rsq_adj),
         resid=resid,
         nobs=n,
         df_resid=df_resid,
-        rank=int(rank),
+        rank=rank,
         rank_deficient=rank < k,
     )

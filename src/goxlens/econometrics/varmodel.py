@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import fdtrc
 
 from ..errors import DataError
+from .ols import lstsq
 
 
 @dataclass
@@ -62,7 +61,7 @@ def var_fit(data, p: int, names: Optional[Sequence[str]] = None) -> VarModel:
         raise DataError(f"{len(names)} names for {k} variables")
 
     Y, X = _lag_design(data, p, p)
-    B, _, _, _ = scipy.linalg.lstsq(X, Y, lapack_driver="gelsd")
+    B = lstsq(X, Y)[0]
     resid = Y - X @ B
     sigma_u = (resid.T @ resid) / (t_eff - k * p - 1)
 
@@ -112,7 +111,7 @@ def select_lag_aic(data, p_max: int) -> int:
     best_p, best_aic = 1, np.inf
     for p in range(1, p_max + 1):
         Y, X = _lag_design(data, p, p_max)
-        B, _, _, _ = scipy.linalg.lstsq(X, Y, lapack_driver="gelsd")
+        B = lstsq(X, Y)[0]
         resid = Y - X @ B
         sigma_ml = (resid.T @ resid) / t_common
         sign, logdet = np.linalg.slogdet(sigma_ml)
@@ -151,6 +150,8 @@ def granger(data, cause, effect, lag: int, names: Optional[Sequence[str]] = None
     model has only the effect's own lags. A perfectly fit unrestricted model
     (RSS_u ~ 0) is degenerate.
     """
+    from scipy.special import fdtrc
+
     data = np.asarray(data, dtype=np.float64)
     T, k = data.shape
     if names is None:
@@ -174,7 +175,7 @@ def granger(data, cause, effect, lag: int, names: Optional[Sequence[str]] = None
     ones = np.ones((len(rows), 1))
 
     def rss(X: np.ndarray) -> float:
-        beta, _, _, _ = scipy.linalg.lstsq(X, y, lapack_driver="gelsd")
+        beta = lstsq(X, y)[0]
         e = y - X @ beta
         return float(e @ e)
 

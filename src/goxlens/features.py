@@ -92,6 +92,9 @@ _MAX_FLOAT_WIDTH = 32
 # freed, raise glibc's dynamic mmap threshold and leave later arrays on the
 # heap, which measurably raised the peak RSS of the command loading the bars.
 _BLOCK = 4096
+# Latest bar start a bars.csv row may give: 9999-12-31 23:59:59 UTC, the last
+# second `fmt_ts` can print (an epoch cell could otherwise overflow int64)
+_LAST_START = 253402300799
 
 # BarSeries columns and their dtypes, in constructor order; `_parse_bar_row`
 # makes one record of this layout per bars.csv row
@@ -400,6 +403,8 @@ def _parse_bar_row(row: list[str], line: int) -> tuple:
         raise DataError(f"bars line {line}: total {row[3]} is not wash + nonwash")
     if max(total, dollar) >= 2**63:
         raise DataError(f"bars line {line}: amount out of range")
+    if start > _LAST_START:
+        raise DataError(f"bars line {line}: start out of range")
     return start, wash, nonwash, dollar, 0, vwap, *measures
 
 
@@ -610,6 +615,8 @@ def filter_stationary_weeks(
                 verdict = (wk.week_start, name, "degenerate")
                 break
             except DataError:
+                if not np.isfinite(wk.series[name]).all():
+                    raise  # a bad cell in the bars, not a short week
                 verdict = (wk.week_start, name, "insufficient")
                 break
             if not ok:

@@ -86,11 +86,12 @@ def _date_to_epoch(text: str) -> int:
     return ts
 
 
+# ASCII digits only; `_date_to_epoch` then rejects a month or day out of range
+_DATE = r"\d{4}-\d\d-\d\d"
+_CANONICAL_DATE = re.compile(_DATE, re.ASCII)
 # The fast path takes only this exact layout; anything else goes to
 # fromisoformat, which parses the other ISO spellings or raises.
-_CANONICAL_TS = re.compile(
-    r"(\d{4}-\d\d-\d\d)[ T]([01]\d|2[0-3]):([0-5]\d):([0-5]\d)", re.ASCII
-)
+_CANONICAL_TS = re.compile(rf"({_DATE})[ T]([01]\d|2[0-3]):([0-5]\d):([0-5]\d)", re.ASCII)
 
 
 def parse_ts(text: str) -> int:
@@ -116,7 +117,7 @@ def parse_ts(text: str) -> int:
 def parse_date(text: str) -> int:
     """'YYYY-MM-DD' to epoch seconds at UTC midnight."""
     t = text.strip()
-    if len(t) != 10 or t[4] != "-" or t[7] != "-":
+    if not _CANONICAL_DATE.fullmatch(t):
         raise ValueError(f"bad date: {text!r}")
     try:
         return _date_to_epoch(t)

@@ -8,10 +8,20 @@ unit tests independent of the generator module they also have to test.
 import io
 
 import numpy as np
+import pytest
 
 from goxlens.detect import TimeWindow
 from goxlens.features import BAR_SECONDS, BarSeries
-from goxlens.ingest import BTC_UNIT, MONEY_UNIT, pair_and_dedup, parse_date, parse_trade_log
+from goxlens.ingest import (
+    BTC_UNIT,
+    DAY,
+    MONEY_UNIT,
+    fmt_date,
+    fmt_ts,
+    pair_and_dedup,
+    parse_date,
+    parse_trade_log,
+)
 
 # A Monday at UTC midnight, so bar grids align with week starts.
 MONDAY = parse_date("2013-01-07")
@@ -105,3 +115,79 @@ def planted_reports(n_seeds=20, n_rows=2000):
             reports.append(importance_report(models))
         _PLANTED[key] = reports
     return _PLANTED[key]
+
+
+# --- one small invocation per analyze study ---------------------------------
+
+
+def noise_bars(n, t0, seed):
+    r = np.random.default_rng(seed)
+    return bars_from_arrays(
+        100.0 + 3.0 * r.standard_normal(n),
+        nonwash=150.0 + 5.0 * r.standard_normal(n),
+        liq=1e-4 * (1.0 + 0.2 * r.standard_normal(n)),
+        vol=1e-3 * (1.0 + 0.2 * r.standard_normal(n)),
+        t0=t0,
+    )
+
+
+def write_bars(path, bars):
+    with open(path, "w", newline="") as fh:
+        bars.to_csv(fh)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def analyze_invocations(tmp_path_factory):
+    """One representative fixed-seed invocation per study."""
+    root = tmp_path_factory.mktemp("analyze")
+    bars672 = write_bars(root / "b672.csv", noise_bars(672, MONDAY, seed=1))
+    bars8d = write_bars(root / "b8d.csv", noise_bars(8 * 48, MONDAY, seed=2))
+    bars120d = write_bars(root / "b120d.csv", noise_bars(120 * 48, MONDAY, seed=3))
+    bars44w = write_bars(root / "b44w.csv", noise_bars(44 * 7 * 48, MONDAY, seed=4))
+    bars_event = write_bars(
+        root / "bevent.csv", noise_bars(28 * 48, parse_date("2012-04-06"), seed=5)
+    )
+
+    rng = np.random.default_rng(12)
+    onchain = root / "onchain.csv"
+    rows = ["timestamp,transaction_id,address,type,amount"]
+    for i in range(8 * 48):
+        amount = 300.0 + 30.0 * abs(rng.standard_normal())
+        rows.append(f"{fmt_ts(MONDAY + i * BAR_SECONDS)},tx{i},addr{i % 7},input,{amount!r}")
+    onchain.write_text("\n".join(rows) + "\n")
+
+    market = root / "market.csv"
+    rows = ["date,volume_btc"]
+    for i in range(120):
+        rows.append(f"{fmt_date(MONDAY + i * DAY)},{50000.0 + 1000.0 * rng.standard_normal()!r}")
+    market.write_text("\n".join(rows) + "\n")
+
+    asset = root / "asset.csv"
+    rows = ["timestamp,close,tick,volume"]
+    level = 0.0
+    for i in range(672):
+        level = 0.5 * level + rng.standard_normal()
+        rows.append(
+            f"{fmt_ts(MONDAY + i * BAR_SECONDS)},{100.0 + 3.0 * level!r},"
+            f"{50.0 + rng.random()!r},{10.0 + rng.random()!r}"
+        )
+    asset.write_text("\n".join(rows) + "\n")
+
+    trends = root / "trends.csv"
+    rows = ["week_start,score"]
+    for i in range(44):
+        rows.append(f"{fmt_date(MONDAY + i * 7 * DAY)},{3.0 if i % 2 == 0 else 1.0!r}")
+    trends.write_text("\n".join(rows) + "\n")
+
+    return root, [
+        ("timing", ["analyze", "timing", "--bars", bars672, "--lags", "1", "--seed", "5"]),
+        ("onchain", ["analyze", "onchain", "--bars", bars8d, "--aux", f"onchain={onchain}"]),
+        ("market", ["analyze", "market", "--bars", bars120d, "--aux", f"market_daily={market}"]),
+        (
+            "cross-asset",
+            ["analyze", "cross-asset", "--bars", bars672, "--aux", f"asset_bar:nikkei={asset}"],
+        ),
+        ("media", ["analyze", "media", "--bars", bars44w, "--aux", f"trends={trends}"]),
+        ("event", ["analyze", "event", "--bars", bars_event]),
+    ]

@@ -28,7 +28,7 @@ from goxlens.econometrics import (
     var_fit,
 )
 from goxlens.features import BAR_SECONDS, STUDY_SERIES, build_bars
-from goxlens.ingest import DAY, fmt_date, fmt_ts, pair_and_dedup, parse_aux, parse_date, parse_trade_log
+from goxlens.ingest import DAY, pair_and_dedup, parse_aux, parse_date, parse_trade_log
 from goxlens.ml import RecurrentNet, build_lagged, importance_report, train_forest
 from goxlens.studies import EventConfig, study_event
 from goxlens.synth import SynthSpec, gen_cointegrated_pair, gen_exchange_log, gen_var_process
@@ -329,81 +329,8 @@ def test_criterion_11_event_windows_are_672_bars():
     assert verdict(11, "event windows hold exactly 672 bars", ok)
 
 
-def _noise_bars(n, t0, seed):
-    r = np.random.default_rng(seed)
-    return bars_from_arrays(
-        100.0 + 3.0 * r.standard_normal(n),
-        nonwash=150.0 + 5.0 * r.standard_normal(n),
-        liq=1e-4 * (1.0 + 0.2 * r.standard_normal(n)),
-        vol=1e-3 * (1.0 + 0.2 * r.standard_normal(n)),
-        t0=t0,
-    )
-
-
-def _write_bars(path, bars):
-    with open(path, "w", newline="") as fh:
-        bars.to_csv(fh)
-    return str(path)
-
-
 def _dir_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
-
-
-@pytest.fixture(scope="module")
-def analyze_invocations(tmp_path_factory):
-    """One representative fixed-seed invocation per study."""
-    root = tmp_path_factory.mktemp("analyze")
-    bars672 = _write_bars(root / "b672.csv", _noise_bars(672, MONDAY, seed=1))
-    bars8d = _write_bars(root / "b8d.csv", _noise_bars(8 * 48, MONDAY, seed=2))
-    bars120d = _write_bars(root / "b120d.csv", _noise_bars(120 * 48, MONDAY, seed=3))
-    bars44w = _write_bars(root / "b44w.csv", _noise_bars(44 * 7 * 48, MONDAY, seed=4))
-    bars_event = _write_bars(
-        root / "bevent.csv", _noise_bars(28 * 48, parse_date("2012-04-06"), seed=5)
-    )
-
-    rng = np.random.default_rng(12)
-    onchain = root / "onchain.csv"
-    rows = ["timestamp,transaction_id,address,type,amount"]
-    for i in range(8 * 48):
-        amount = 300.0 + 30.0 * abs(rng.standard_normal())
-        rows.append(f"{fmt_ts(MONDAY + i * BAR_SECONDS)},tx{i},addr{i % 7},input,{amount!r}")
-    onchain.write_text("\n".join(rows) + "\n")
-
-    market = root / "market.csv"
-    rows = ["date,volume_btc"]
-    for i in range(120):
-        rows.append(f"{fmt_date(MONDAY + i * DAY)},{50000.0 + 1000.0 * rng.standard_normal()!r}")
-    market.write_text("\n".join(rows) + "\n")
-
-    asset = root / "asset.csv"
-    rows = ["timestamp,close,tick,volume"]
-    level = 0.0
-    for i in range(672):
-        level = 0.5 * level + rng.standard_normal()
-        rows.append(
-            f"{fmt_ts(MONDAY + i * BAR_SECONDS)},{100.0 + 3.0 * level!r},"
-            f"{50.0 + rng.random()!r},{10.0 + rng.random()!r}"
-        )
-    asset.write_text("\n".join(rows) + "\n")
-
-    trends = root / "trends.csv"
-    rows = ["week_start,score"]
-    for i in range(44):
-        rows.append(f"{fmt_date(MONDAY + i * 7 * DAY)},{3.0 if i % 2 == 0 else 1.0!r}")
-    trends.write_text("\n".join(rows) + "\n")
-
-    return root, [
-        ("timing", ["analyze", "timing", "--bars", bars672, "--lags", "1", "--seed", "5"]),
-        ("onchain", ["analyze", "onchain", "--bars", bars8d, "--aux", f"onchain={onchain}"]),
-        ("market", ["analyze", "market", "--bars", bars120d, "--aux", f"market_daily={market}"]),
-        (
-            "cross-asset",
-            ["analyze", "cross-asset", "--bars", bars672, "--aux", f"asset_bar:nikkei={asset}"],
-        ),
-        ("media", ["analyze", "media", "--bars", bars44w, "--aux", f"trends={trends}"]),
-        ("event", ["analyze", "event", "--bars", bars_event]),
-    ]
 
 
 def test_criterion_12_analyze_is_byte_deterministic(analyze_invocations):

@@ -405,6 +405,7 @@ def test_wrong_header_is_a_data_error(tmp_path, capsys):
         "2013-01-07 00:30:00,1.00000000",  # short row
         "2013-01-07 00:30:00,1.00000000,2.0.0,3.00000000,0.00000,,0.0,0.0",  # bad amount
         "2013-01-07 00:30:00,1.00000000,2.00000000,9.00000000,0.00000,,0.0,0.0",  # total
+        "99999999999999999999,1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0",  # start
     ],
 )
 def test_malformed_bars_row_is_a_data_error(noise_bars_csv, tmp_path, capsys, row):
@@ -412,6 +413,28 @@ def test_malformed_bars_row_is_a_data_error(noise_bars_csv, tmp_path, capsys, ro
     bad.write_text("".join(noise_bars_csv.read_text().splitlines(keepends=True)[:2]) + row + "\n")
     assert run("analyze", "event", "--bars", str(bad), "--out", str(tmp_path / "o")) == 2
     assert "bars line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "study, column, cell", [("event", 6, "nan"), ("media", 7, "inf"), ("timing", 6, "-inf")]
+)
+def test_non_finite_bar_measure_is_a_data_error(
+    analyze_invocations, tmp_path, capsys, study, column, cell
+):
+    # bars.csv may carry any float in amihud and rvol; a fit refuses a
+    # non-finite one, naming the shape of its input, and the run exits 2
+    argv = list(dict(analyze_invocations[1])[study])
+    at = argv.index("--bars") + 1
+    with open(argv[at], newline="") as fh:
+        lines = fh.read().split("\r\n")
+    cells = lines[200].split(",")
+    cells[column] = cell
+    lines[200] = ",".join(cells)
+    argv[at] = str(tmp_path / "bars.csv")
+    with open(argv[at], "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    assert "has non-finite values" in capsys.readouterr().err
 
 
 def test_unparseable_window_is_usage_error(synth_dir, tmp_path, capsys):
@@ -438,3 +461,17 @@ def test_console_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "trades.csv").is_file()
     assert (out / "truth.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "window", ["2013-01-+1..2013-01-10", "2013-01-01..2013- 1-10", "2013-+1-01..2013-01-10"]
+)
+def test_loose_window_date_is_usage_error(synth_dir, tmp_path, capsys, window):
+    code = run(
+        "detect",
+        "--trades", str(synth_dir / "trades.csv"),
+        "--window", window,
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert "bad date" in capsys.readouterr().err

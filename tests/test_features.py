@@ -287,6 +287,10 @@ def test_bars_csv_header_enforced():
          "could not convert"),
         ("2012-01-01 00:30:00,99999999999.00000000,0.00000000,99999999999.00000000,0.00000,,0.0,0.0",
          "out of range"),
+        # one second past 9999-12-31 23:59:59, the last start fmt_ts can print
+        ("253402300800,1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0", "start out of range"),
+        ("99999999999999999999,1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0",
+         "start out of range"),
     ],
 )
 def test_bars_csv_rejects_malformed_rows(row, reason):

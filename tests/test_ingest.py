@@ -112,6 +112,40 @@ def test_bad_timestamps_become_row_errors():
     assert all("bad timestamp" in reason for _, reason in pr.row_errors)
 
 
+BAD_DATES = [
+    "2012-+1-01",
+    "2012- 1-01",
+    "2012-01-+1",
+    "2012-1-01",
+    "2012-01-1",
+    "2012-13-01",
+    "2012-02-30",
+    "0000-01-01",
+    "2012/01/01",
+    "2012-01-01 00:00:00",
+    "\u0662\u0660\u0661\u0662-01-01",  # non-ASCII digits
+]
+
+
+@pytest.mark.parametrize("text", BAD_DATES)
+def test_parse_date_rejects_malformed_fields(text):
+    with pytest.raises(ValueError, match="bad date"):
+        parse_date(text)
+
+
+def test_parse_date_fields_at_their_bounds():
+    assert parse_date("2012-02-29") == parse_date("2012-03-01") - DAY
+    assert parse_date(" 9999-12-31 ") == parse_date("0001-01-01") + 3652058 * DAY
+
+
+def test_bad_dates_become_daily_aux_row_errors():
+    lines = ["date,volume_btc", "2012-01-01,100"] + [f"{d},5" for d in BAD_DATES]
+    aux = parse_aux(io.StringIO("\n".join(lines) + "\n"), "market_daily")
+    assert aux.ts_array() == [parse_date("2012-01-01")]
+    assert [line for line, _ in aux.row_errors] == list(range(3, 3 + len(BAD_DATES)))
+    assert all("bad date" in reason for _, reason in aux.row_errors)
+
+
 # --- trade log parsing -------------------------------------------------------
 
 

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import stats
 
 from goxlens.econometrics import ols
+from goxlens.econometrics.ols import lstsq
 from goxlens.errors import DataError
 
 
@@ -87,3 +91,51 @@ def test_regressor_rescaling_invariance():
 def test_too_few_rows_rejected():
     with pytest.raises(DataError):
         ols(np.ones(3), np.ones((3, 3)))
+
+
+def _designs(seed):
+    """(X, Y) pairs: full-rank and rank-deficient designs, badly scaled columns,
+    1-d and 2-d right-hand sides."""
+    rng = np.random.default_rng(seed)
+    for case in range(60):
+        n = int(rng.integers(4, 120))
+        k = int(rng.integers(1, min(n, 12) + 1))
+        X = rng.standard_normal((n, k))
+        if case % 3 == 1 and k >= 3:
+            X[:, -1] = 2.0 * X[:, 0] - X[:, 1]  # exact collinearity
+        if case % 3 == 2 and k >= 2:
+            X[:, 1] = X[:, 0]  # duplicated column
+        if case % 4 == 0:
+            X *= 10.0 ** rng.integers(-6, 7, size=k)
+        m = int(rng.integers(1, 6))
+        Y = rng.standard_normal(n) if case % 2 else rng.standard_normal((n, m))
+        yield X, Y
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lstsq_matches_scipy_gelsd_bit_for_bit(seed):
+    # the fits solved with scipy's gelsd before; outputs stay byte-identical
+    # only if numpy's gelsd with scipy's cutoff gives the same bits
+    ranks = set()
+    for X, Y in _designs(seed):
+        B, rank = lstsq(X, Y)
+        B_ref, _, rank_ref, _ = scipy.linalg.lstsq(X, Y, lapack_driver="gelsd")
+        assert np.array_equal(B, B_ref)
+        assert B.shape == B_ref.shape
+        assert rank == rank_ref
+        ranks.add(rank < X.shape[1])
+    assert ranks == {False, True}  # both full-rank and rank-deficient designs ran
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["design", "response"])
+def test_lstsq_names_a_non_finite_input(bad, where):
+    X = np.random.default_rng(0).standard_normal((20, 3))
+    Y = np.ones((20, 2))
+    (X if where == "design" else Y)[4, 1] = bad
+    shape = (20, 3) if where == "design" else (20, 2)
+    name = rf"least-squares {where} of shape {re.escape(str(shape))}"
+    with pytest.raises(DataError, match=name):
+        lstsq(X, Y)
+    with pytest.raises(DataError, match="non-finite"):
+        ols(Y[:, 1], X)
