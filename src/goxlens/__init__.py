@@ -43,7 +43,6 @@ _SOURCES = {
     ),
     "ingest": (
         "AuxSeries",
-        "PairedTrade",
         "TradeLedger",
         "pair_and_dedup",
         "parse_aux",

@@ -43,7 +43,8 @@ from .ingest import (
     MONEY_DECIMALS,
     fmt_date,
     fmt_ts,
-    format_scaled,
+    format_fixed,
+    format_timestamps,
     pair_and_dedup,
     parse_aux,
     parse_trade_log,
@@ -180,8 +181,7 @@ def _require_aux(args, kind: str):
 
 def _load_flagged(args):
     parsed = parse_trade_log(args.trades, schema=args.schema)
-    ledger = pair_and_dedup(parsed.records)
-    return flag_wash(ledger, _parse_window(args)), ledger, parsed
+    return flag_wash(pair_and_dedup(parsed), _parse_window(args)), parsed
 
 
 def _load_bars(args) -> BarSeries:
@@ -201,9 +201,17 @@ def _require_seed(args) -> int:
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
     parsed = parse_trade_log(args.trades, schema=args.schema)
-    ledger = pair_and_dedup(parsed.records)
+    ledger = pair_and_dedup(parsed)
     buf = io.StringIO()
-    write_canonical_csv(ledger.trades, buf)
+    write_canonical_csv(
+        buf,
+        [f"t{i}" for i in range(len(ledger))],
+        ledger.users[ledger.buyer],
+        ledger.users[ledger.seller],
+        ledger.ts,
+        ledger.bitcoins_e8,
+        ledger.money_e5,
+    )
     _write_text(out / "trades.csv", buf.getvalue())
     _write_json(
         out / "ingest.json",
@@ -222,20 +230,18 @@ def cmd_ingest(args) -> int:
 
 def cmd_detect(args) -> int:
     out = _out_dir(args)
-    flagged, ledger, parsed = _load_flagged(args)
+    flagged, parsed = _load_flagged(args)
+    wash = np.array(flagged.wash, dtype=bool)
     _write_csv(
         out / "wash_trades.csv",
         [
             ["buyer", "seller", "timestamp", "bitcoins", "money"],
-            *(
-                [
-                    t.buyer,
-                    t.seller,
-                    fmt_ts(t.ts),
-                    format_scaled(t.bitcoins_e8, BTC_DECIMALS),
-                    format_scaled(t.money_e5, MONEY_DECIMALS),
-                ]
-                for t in flagged.wash_trades()
+            *zip(
+                flagged.users[flagged.buyer[wash]],
+                flagged.users[flagged.seller[wash]],
+                format_timestamps(flagged.ts[wash]),
+                format_fixed(flagged.bitcoins_e8[wash], BTC_DECIMALS),
+                format_fixed(flagged.money_e5[wash], MONEY_DECIMALS),
             ),
         ],
     )
@@ -245,7 +251,7 @@ def cmd_detect(args) -> int:
             "window": {"start": fmt_ts(flagged.window.start), "end": fmt_ts(flagged.window.end)},
             "wash_count": flagged.wash_count,
             "nonwash_count": flagged.nonwash_count,
-            "stats": ledger.stats.as_dict(),
+            "stats": flagged.stats.as_dict(),
             "n_row_errors": len(parsed.row_errors),
         },
     )
@@ -254,7 +260,7 @@ def cmd_detect(args) -> int:
 
 def cmd_bars(args) -> int:
     out = _out_dir(args)
-    flagged, _ledger, _parsed = _load_flagged(args)
+    flagged, _parsed = _load_flagged(args)
     bars = build_bars(flagged)
     buf = io.StringIO()
     bars.to_csv(buf)

@@ -9,10 +9,12 @@ inclusive pair of dates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
+
+import numpy as np
 
 from .errors import DataError
-from .ingest import DAY, PairedTrade, TradeLedger, fmt_ts, parse_date
+from .ingest import DAY, TradeLedger, fmt_ts, parse_date
 
 DEFAULT_WINDOW_START = "2011-06-26"
 DEFAULT_WINDOW_END = "2013-05-20"
@@ -55,29 +57,24 @@ class TimeWindow:
 
 
 @dataclass
-class FlaggedLedger:
-    """Window-restricted trades with a wash flag per trade; order preserved."""
+class FlaggedLedger(TradeLedger):
+    """A ledger's trades inside a window, in ledger order, with a wash flag each.
 
-    trades: list[PairedTrade]
+    `stats` are those of the whole ledger. `wash` is a list of Python bools,
+    not a numpy array, so that a sum over it is a Python int, which `json` can
+    write.
+    """
+
     wash: list[bool]
     window: TimeWindow
 
-    def __len__(self) -> int:
-        return len(self.trades)
-
-    def __iter__(self) -> Iterator[tuple[PairedTrade, bool]]:
-        return iter(zip(self.trades, self.wash))
-
     @property
     def wash_count(self) -> int:
-        return sum(self.wash)
+        return self.wash.count(True)
 
     @property
     def nonwash_count(self) -> int:
-        return len(self.trades) - self.wash_count
-
-    def wash_trades(self) -> list[PairedTrade]:
-        return [t for t, w in zip(self.trades, self.wash) if w]
+        return len(self.wash) - self.wash_count
 
 
 def flag_wash(ledger: TradeLedger, window: Optional[TimeWindow] = None) -> FlaggedLedger:
@@ -88,6 +85,9 @@ def flag_wash(ledger: TradeLedger, window: Optional[TimeWindow] = None) -> Flagg
     """
     if window is None:
         window = TimeWindow.default()
-    trades = [t for t in ledger.trades if window.contains(t.ts)]
-    wash = [t.buyer == t.seller for t in trades]
-    return FlaggedLedger(trades, wash, window)
+    # the ledger is sorted by timestamp, so the window is one run of it
+    lo, hi = np.searchsorted(ledger.ts, [window.start, window.end]).tolist()
+    columns = (ledger.ts, ledger.buyer, ledger.seller, ledger.bitcoins_e8, ledger.money_e5)
+    ts, buyer, seller, btc, money = (c[lo:hi] for c in columns)
+    wash = (buyer == seller).tolist()
+    return FlaggedLedger(ts, buyer, seller, btc, money, ledger.users, ledger.stats, wash, window)

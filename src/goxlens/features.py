@@ -36,11 +36,14 @@ from .ingest import (
     DAY,
     MONEY_DECIMALS,
     MONEY_UNIT,
+    _BLOCK,
     AuxSeries,
     Source,
     _open_text,
     fmt_date,
     fmt_ts,
+    format_fixed,
+    format_timestamps,
     parse_scaled,
     parse_ts,
 )
@@ -87,14 +90,6 @@ _HEADER_LINE = ",".join(BARS_HEADER) + "\r\n"
 _MAX_WHOLE = {BTC_DECIMALS: 10, MONEY_DECIMALS: 13}
 # Longest float cell `_read_canonical` takes; repr() of a float is at most 24 long
 _MAX_FLOAT_WIDTH = 32
-# Rows per block wherever the codec holds text or Python objects per cell. A
-# whole column of them (5 MB of start strings at 33,360 bars) would, once
-# freed, raise glibc's dynamic mmap threshold and leave later arrays on the
-# heap, which measurably raised the peak RSS of the command loading the bars.
-_BLOCK = 4096
-# Latest bar start a bars.csv row may give: 9999-12-31 23:59:59 UTC, the last
-# second `fmt_ts` can print (an epoch cell could otherwise overflow int64)
-_LAST_START = 253402300799
 
 # BarSeries columns and their dtypes, in constructor order; `_parse_bar_row`
 # makes one record of this layout per bars.csv row
@@ -189,27 +184,19 @@ class BarSeries:
         return BarSeries(*columns, window, self.label)
 
     def to_csv(self, stream) -> None:
-        """Write bars.csv: CRLF lines, the `fmt_ts` and `format_scaled` spellings."""
-
-        def fixed(values: np.ndarray, decimals: int):
-            if len(values) and values.min() < 0:
-                raise ValueError("negative fixed-point value")
-            whole, frac = np.divmod(values, 10**decimals)
-            return map(f"%d.%0{decimals}d".__mod__, zip(whole.tolist(), frac.tolist()))
-
+        """Write bars.csv: CRLF lines, the `format_timestamps` and `format_fixed` spellings."""
         w = csv.writer(stream)
         w.writerow(BARS_HEADER)
         for i in range(0, len(self), _BLOCK):
             rows = slice(i, i + _BLOCK)
             wash, nonwash = self.wash_e8[rows], self.nonwash_e8[rows]
-            starts = np.datetime_as_string(self.start[rows].astype("datetime64[s]"))
             w.writerows(
                 zip(
-                    np.strings.replace(starts, "T", " ").tolist(),
-                    fixed(wash, BTC_DECIMALS),
-                    fixed(nonwash, BTC_DECIMALS),
-                    fixed(wash + nonwash, BTC_DECIMALS),
-                    fixed(self.dollar_e5[rows], MONEY_DECIMALS),
+                    format_timestamps(self.start[rows]),
+                    format_fixed(wash, BTC_DECIMALS),
+                    format_fixed(nonwash, BTC_DECIMALS),
+                    format_fixed(wash + nonwash, BTC_DECIMALS),
+                    format_fixed(self.dollar_e5[rows], MONEY_DECIMALS),
                     ("" if v != v else v for v in self.vwap[rows].tolist()),  # csv writes repr()
                     self.amihud[rows].tolist(),
                     self.rvol[rows].tolist(),
@@ -403,8 +390,6 @@ def _parse_bar_row(row: list[str], line: int) -> tuple:
         raise DataError(f"bars line {line}: total {row[3]} is not wash + nonwash")
     if max(total, dollar) >= 2**63:
         raise DataError(f"bars line {line}: amount out of range")
-    if start > _LAST_START:
-        raise DataError(f"bars line {line}: start out of range")
     return start, wash, nonwash, dollar, 0, vwap, *measures
 
 
@@ -418,12 +403,9 @@ def build_bars(flagged: FlaggedLedger) -> BarSeries:
     """
     window = flagged.window
     n_bars = -((window.start - window.end) // BAR_SECONDS)
-    trades = flagged.trades
-    n = len(trades)
-    bar = (np.fromiter((t.ts for t in trades), np.int64, n) - window.start) // BAR_SECONDS
-    btc = np.fromiter((t.bitcoins_e8 for t in trades), np.int64, n)
-    money = np.fromiter((t.money_e5 for t in trades), np.int64, n)
-    wash = np.fromiter(flagged.wash, bool, n)
+    bar = (flagged.ts - window.start) // BAR_SECONDS
+    btc, money = flagged.bitcoins_e8, flagged.money_e5
+    wash = np.array(flagged.wash, dtype=bool)
     priced = btc > 0
 
     def bar_sums(values: np.ndarray, mask=slice(None)) -> np.ndarray:
@@ -446,7 +428,11 @@ def build_bars(flagged: FlaggedLedger) -> BarSeries:
     # each bar's priced trades, in ledger order
     order = np.flatnonzero(priced)
     order = order[np.argsort(bar[order], kind="stable")]
-    prices = [trades[i].price for i in order.tolist()]
+    # exact per-trade prices: money_e5 * BTC_UNIT can overflow int64, a Python int cannot
+    prices = [
+        m * BTC_UNIT / (b * MONEY_UNIT)
+        for m, b in zip(money[order].tolist(), btc[order].tolist())
+    ]
     bar_of = bar[order]
     rvol = np.zeros(n_bars)
     # run boundaries of equal bar indices; the -1 pads mark both ends
@@ -504,20 +490,17 @@ def interpolate_supply(points) -> SupplyCurve:
     )
 
 
-def marketcap_share(flagged: FlaggedLedger, curve: SupplyCurve, prices=None) -> float:
+def marketcap_share(flagged: FlaggedLedger, curve: SupplyCurve) -> float:
     """Mean over wash trades of 100 * trade BTC / circulating supply that day.
 
-    The share of market cap taken by a BTC-denominated trade is price-invariant
-    (price cancels from numerator and denominator), so `prices` is accepted for
-    interface symmetry but unused.
+    The share of market cap taken by a BTC-denominated trade is
+    price-invariant: price cancels from numerator and denominator.
     """
-    wash = flagged.wash_trades()
-    if not wash:
+    wash = np.array(flagged.wash, dtype=bool)
+    if not wash.any():
         return math.nan
-    ts = np.array([t.ts for t in wash], dtype=np.int64)
-    btc = np.array([t.bitcoins_e8 for t in wash], dtype=np.float64) / BTC_UNIT
-    supply = curve.at(ts)
-    return float(np.mean(100.0 * btc / supply))
+    supply = curve.at(flagged.ts[wash])
+    return float(np.mean(100.0 * (flagged.bitcoins_e8[wash] / BTC_UNIT) / supply))
 
 
 @dataclass(frozen=True)

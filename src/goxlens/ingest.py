@@ -1,8 +1,9 @@
 """Exchange-log ingestion: parsing, half-pairing, de-duplication, aux series.
 
 Monetary amounts are held as fixed-point integers (BTC at 8 decimal places,
-quote currency at 5) so that volume sums are exact; floats only appear at the
-edges via properties. Timestamps are integer epoch seconds, UTC throughout.
+quote currency at 5) so that volume sums are exact, and the trade ledger is a
+set of int64 numpy columns with user names dictionary-encoded. Timestamps are
+integer epoch seconds, UTC throughout.
 
 Trade logs arrive with one row per order half; two halves share a trade id.
 Pairing joins them, the first-seen half is the buyer unless an explicit side
@@ -15,11 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import re
+from array import array
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
+
+import numpy as np
 
 from .errors import DataError, PairingError, SchemaError
 
@@ -30,6 +36,19 @@ MONEY_DECIMALS = 5
 BTC_UNIT = 10**BTC_DECIMALS
 MONEY_UNIT = 10**MONEY_DECIMALS
 DAY = 86400
+# Epoch range of timestamps parse_ts accepts: 0001-01-01 00:00:00 to
+# 9999-12-31 23:59:59 UTC, the span with four-digit years
+FIRST_TS = -62135596800
+LAST_TS = 253402300799
+_EPOCH = datetime(1970, 1, 1)
+
+#: Columns of a canonical trade log, in file order.
+CANONICAL_HEADER = ["user_id", "trade_id", "timestamp", "currency", "bitcoins", "money", "side"]
+# Rows per block wherever a column is held as text or Python objects. A whole
+# column of them (5 MB of start strings at 33,360 bars) would, once freed,
+# raise glibc's dynamic mmap threshold and leave later arrays on the heap,
+# which measurably raised the peak RSS of the command loading the bars.
+_BLOCK = 4096
 
 Source = Union[str, Path, IO]
 
@@ -61,15 +80,6 @@ def parse_scaled(text: str, decimals: int) -> int:
     return scaled * 10**decimals + (int(frac.ljust(decimals, "0")) if frac else 0)
 
 
-def format_scaled(value: int, decimals: int) -> str:
-    """Inverse of parse_scaled: fixed-point integer to a plain decimal string."""
-    if value < 0:
-        raise ValueError("negative fixed-point value")
-    digits = str(value).rjust(decimals + 1, "0")
-    cut = len(digits) - decimals
-    return f"{digits[:cut]}.{digits[cut:]}"
-
-
 # Timestamp parsing is the hot loop for multi-million-row logs; cache the
 # midnight epoch per date string and do the clock arithmetic by hand.
 _midnight_cache: dict[str, int] = {}
@@ -95,15 +105,18 @@ _CANONICAL_TS = re.compile(rf"({_DATE})[ T]([01]\d|2[0-3]):([0-5]\d):([0-5]\d)",
 
 
 def parse_ts(text: str) -> int:
-    """'YYYY-MM-DD HH:MM:SS' (or ISO 'T', or plain epoch digits) to epoch seconds."""
+    """'YYYY-MM-DD HH:MM:SS' (or ISO 'T', or plain epoch digits) to epoch seconds.
+
+    The result lies in [FIRST_TS, LAST_TS], so `fmt_ts` can spell it back.
+    """
     t = text.strip()
     if t.isdigit():
-        return int(t)
+        return _in_range(int(t), text)
     if t.endswith("Z") or t.endswith("z"):  # fromisoformat rejects this before 3.11
         t = t[:-1] + "+00:00"
     try:
         m = _CANONICAL_TS.fullmatch(t)
-        if m:
+        if m:  # four year digits: always in range
             day, hh, mm, ss = m.groups()
             return _date_to_epoch(day) + 3600 * int(hh) + 60 * int(mm) + int(ss)
         dt = datetime.fromisoformat(t)
@@ -111,7 +124,13 @@ def parse_ts(text: str) -> int:
         raise ValueError(f"bad timestamp: {text!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return _in_range(int(dt.timestamp()), text)
+
+
+def _in_range(ts: int, text: str) -> int:
+    if not FIRST_TS <= ts <= LAST_TS:
+        raise ValueError(f"timestamp out of range: {text!r}")
+    return ts
 
 
 def parse_date(text: str) -> int:
@@ -126,73 +145,46 @@ def parse_date(text: str) -> int:
 
 
 def fmt_ts(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
+    """'YYYY-MM-DD HH:MM:SS' in UTC, the year always in four digits."""
+    return (_EPOCH + timedelta(seconds=int(ts))).isoformat(" ")
 
 
 def fmt_date(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
+    return (_EPOCH + timedelta(seconds=int(ts))).date().isoformat()
 
 
-@dataclass(slots=True)
-class RawTradeRecord:
-    """One order half as it appears in the log."""
-
-    user_id: str
-    trade_id: str
-    ts: int
-    currency: str
-    bitcoins_e8: int
-    money_e5: int
-    side: str  # "buy" | "sell" | "unknown"
-
-    @property
-    def bitcoins(self) -> float:
-        return self.bitcoins_e8 / BTC_UNIT
-
-    @property
-    def money(self) -> float:
-        return self.money_e5 / MONEY_UNIT
-
-
-@dataclass(slots=True)
-class PairedTrade:
-    """Both halves joined: one economic trade."""
-
-    buyer: str
-    seller: str
-    ts: int
-    bitcoins_e8: int
-    money_e5: int
-
-    @property
-    def bitcoins(self) -> float:
-        return self.bitcoins_e8 / BTC_UNIT
-
-    @property
-    def money(self) -> float:
-        return self.money_e5 / MONEY_UNIT
-
-    @property
-    def price(self) -> float:
-        """Quote per BTC; only defined for priced (bitcoins > 0) trades."""
-        if self.bitcoins_e8 <= 0:
-            raise ValueError("price undefined for zero-BTC trade")
-        return (self.money_e5 * BTC_UNIT) / (self.bitcoins_e8 * MONEY_UNIT)
-
-    @property
-    def key(self) -> tuple:
-        return (self.buyer, self.seller, self.bitcoins_e8, self.money_e5, self.ts)
+# `ParseResult.side` codes; a side other than buy or sell is unknown
+UNKNOWN, BUY, SELL = 0, 1, 2
+_SIDES = {"buy": BUY, "sell": SELL}
+# The ledger is int64: a larger amount is a row error, not a wrap-around
+_AMOUNT_LIMIT = 2**63
 
 
 @dataclass
 class ParseResult:
-    records: list[RawTradeRecord]
+    """The valid half rows of a trade log as columns, in file order.
+
+    `ts` (epoch seconds), `bitcoins_e8`, `money_e5`, `user` and `trade` are
+    int64; `user` and `trade` are codes into `user_names` and `trade_ids`,
+    sorted object arrays of names, so code order is string order. `side`
+    (int8) holds the UNKNOWN/BUY/SELL codes and `usd` (bool) marks the rows
+    whose currency is USD.
+    """
+
+    ts: np.ndarray
+    bitcoins_e8: np.ndarray
+    money_e5: np.ndarray
+    user: np.ndarray
+    trade: np.ndarray
+    side: np.ndarray
+    usd: np.ndarray
+    user_names: np.ndarray
+    trade_ids: np.ndarray
     row_errors: list[tuple[int, str]]  # (1-based line number, reason)
     n_rows: int
 
-    @property
-    def n_skipped(self) -> int:
-        return len(self.row_errors)
+    def __len__(self) -> int:
+        return len(self.ts)
 
 
 @dataclass
@@ -217,16 +209,22 @@ class DedupStats:
 
 @dataclass
 class TradeLedger:
-    """De-duplicated paired trades in (ts, buyer, seller, amounts) order."""
+    """De-duplicated trades as int64 columns, sorted by (ts, buyer, seller, bitcoins, money).
 
-    trades: list[PairedTrade]
+    `buyer` and `seller` are codes into `users`, a sorted object array of
+    names, so the sort follows the user names.
+    """
+
+    ts: np.ndarray
+    buyer: np.ndarray
+    seller: np.ndarray
+    bitcoins_e8: np.ndarray
+    money_e5: np.ndarray
+    users: np.ndarray
     stats: DedupStats
 
     def __len__(self) -> int:
-        return len(self.trades)
-
-    def __iter__(self):
-        return iter(self.trades)
+        return len(self.ts)
 
 
 _SCHEMAS = {
@@ -235,7 +233,7 @@ _SCHEMAS = {
         "optional": ["Type"],
     },
     "canonical": {
-        "required": ["user_id", "trade_id", "timestamp", "currency", "bitcoins", "money", "side"],
+        "required": CANONICAL_HEADER,
         "optional": [],
     },
 }
@@ -257,7 +255,7 @@ def parse_trade_log(source: Source, schema: str = "mtgox_leak") -> ParseResult:
 
     Malformed rows are skipped and collected in row_errors; a missing required
     column is fatal (SchemaError). Side values other than buy/sell map to
-    "unknown". Row order is preserved.
+    UNKNOWN. Row order is preserved.
     """
     if schema not in _SCHEMAS:
         raise SchemaError(f"unknown schema {schema!r}; expected one of {sorted(_SCHEMAS)}")
@@ -285,9 +283,14 @@ def parse_trade_log(source: Source, schema: str = "mtgox_leak") -> ParseResult:
             i_side = pos["side"]
         width = max(i_user, i_tid, i_ts, i_cur, i_btc, i_money, i_side) + 1
 
-        records: list[RawTradeRecord] = []
+        # names get codes in first-seen order here, renumbered in sorted order below
+        users: dict[str, int] = {}
+        tids: dict[str, int] = {}
+        ts_col, btc_col, money_col, user_col, tid_col = (array("q") for _ in range(5))
+        side_col, usd_col = bytearray(), bytearray()
         errors: list[tuple[int, str]] = []
         n_rows = 0
+        last_cells = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -300,26 +303,60 @@ def parse_trade_log(source: Source, schema: str = "mtgox_leak") -> ParseResult:
             if not user or not tid:
                 errors.append((lineno, "empty user or trade id"))
                 continue
-            try:
-                ts = parse_ts(row[i_ts])
-                btc = parse_scaled(row[i_btc], BTC_DECIMALS)
-                money = parse_scaled(row[i_money], MONEY_DECIMALS)
-            except ValueError as exc:
-                errors.append((lineno, str(exc)))
-                continue
+            cells = (row[i_ts], row[i_btc], row[i_money])
+            # a trade's two halves usually sit on adjacent rows with the same
+            # timestamp and amounts: parse those cells once for both
+            if cells != last_cells:
+                try:
+                    values = (
+                        parse_ts(cells[0]),
+                        parse_scaled(cells[1], BTC_DECIMALS),
+                        parse_scaled(cells[2], MONEY_DECIMALS),
+                    )
+                    if max(values[1:]) >= _AMOUNT_LIMIT:
+                        raise ValueError("amount out of range")
+                except ValueError as exc:
+                    errors.append((lineno, str(exc)))
+                    continue
+                last_cells = cells
+            ts, btc, money = values
             side = row[i_side].strip().lower() if i_side >= 0 else ""
-            if side not in ("buy", "sell"):
-                side = "unknown"
-            records.append(
-                RawTradeRecord(user, tid, ts, row[i_cur].strip(), btc, money, side)
-            )
-        return ParseResult(records, errors, n_rows)
+            ts_col.append(ts)
+            btc_col.append(btc)
+            money_col.append(money)
+            user_col.append(users.setdefault(user, len(users)))
+            tid_col.append(tids.setdefault(tid, len(tids)))
+            side_col.append(_SIDES.get(side, UNKNOWN))
+            usd_col.append(row[i_cur].strip() == "USD")
     finally:
         if should_close:
             fh.close()
+    user_codes, user_names = _sorted_codes(user_col, users)
+    tid_codes, trade_ids = _sorted_codes(tid_col, tids)
+    return ParseResult(
+        np.frombuffer(ts_col, np.int64),
+        np.frombuffer(btc_col, np.int64),
+        np.frombuffer(money_col, np.int64),
+        user_codes,
+        tid_codes,
+        np.frombuffer(side_col, np.int8),
+        np.frombuffer(usd_col, np.bool_),
+        user_names,
+        trade_ids,
+        errors,
+        n_rows,
+    )
 
 
-def pair_and_dedup(records: Iterable[RawTradeRecord]) -> TradeLedger:
+def _sorted_codes(codes: array, first_seen: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """First-seen codes renumbered into the sorted names, and those names."""
+    names = sorted(first_seen)
+    renumber = np.empty(len(names), np.int64)
+    renumber[[first_seen[name] for name in names]] = np.arange(len(names))
+    return renumber[np.frombuffer(codes, np.int64)], np.array(names, dtype=object)
+
+
+def pair_and_dedup(parsed: ParseResult) -> TradeLedger:
     """Join order halves by trade id, assign roles, drop exact duplicates.
 
     Non-USD halves are dropped before pairing. A trade id seen more than twice
@@ -329,84 +366,81 @@ def pair_and_dedup(records: Iterable[RawTradeRecord]) -> TradeLedger:
     buyer. Amounts and timestamp are taken from the first-seen half.
 
     Duplicates share the combined key (buyer, seller, bitcoins, money,
-    timestamp); the first-paired instance is kept. Output is sorted by that
-    key, timestamp first.
+    timestamp) and collapse to one trade. Output is sorted by that key,
+    timestamp first.
     """
-    by_id: dict[str, list[RawTradeRecord]] = {}
-    raw_rows = 0
-    dropped = 0
-    for rec in records:
-        raw_rows += 1
-        if rec.currency != "USD":
-            dropped += 1
-            continue
-        by_id.setdefault(rec.trade_id, []).append(rec)
+    usd = np.flatnonzero(parsed.usd)
+    trade = parsed.trade[usd]
+    counts = np.bincount(trade, minlength=len(parsed.trade_ids))
+    ambiguous = np.flatnonzero(counts > 2)
+    if len(ambiguous):
+        raise PairingError(parsed.trade_ids[ambiguous].tolist())
 
-    ambiguous = sorted(tid for tid, halves in by_id.items() if len(halves) > 2)
-    if ambiguous:
-        raise PairingError(ambiguous)
+    # USD halves grouped by trade id, each id's halves in file order
+    grouped = usd[np.argsort(trade, kind="stable")]
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    a, b = grouped[first], grouped[first + 1]
+    side_a, side_b = parsed.side[a], parsed.side[b]
+    # the second-seen half buys when the first does not say buy and either the
+    # second says buy or the first says sell
+    swap = (side_a != BUY) & ((side_b == BUY) | (side_a == SELL))
+    buyer = np.where(swap, parsed.user[b], parsed.user[a])
+    seller = np.where(swap, parsed.user[a], parsed.user[b])
 
-    paired: list[PairedTrade] = []
-    unpaired = 0
-    for halves in by_id.values():
-        if len(halves) == 1:
-            unpaired += 1
-            continue
-        a, b = halves
-        if a.side == "buy":
-            buyer, seller = a, b
-        elif b.side == "buy":
-            buyer, seller = b, a
-        elif a.side == "sell":
-            buyer, seller = b, a
-        elif b.side == "sell":
-            buyer, seller = a, b
-        else:
-            buyer, seller = a, b
-        paired.append(
-            PairedTrade(buyer.user_id, seller.user_id, a.ts, a.bitcoins_e8, a.money_e5)
-        )
-
-    seen: set[tuple] = set()
-    unique: list[PairedTrade] = []
-    for t in paired:
-        k = t.key
-        if k in seen:
-            continue
-        seen.add(k)
-        unique.append(t)
-    unique.sort(key=lambda t: (t.ts, t.buyer, t.seller, t.bitcoins_e8, t.money_e5))
+    columns = (parsed.ts[a], buyer, seller, parsed.bitcoins_e8[a], parsed.money_e5[a])
+    order = np.lexsort(columns[::-1])
+    columns = [c[order] for c in columns]
+    first_of_key = np.ones(len(order), dtype=bool)
+    first_of_key[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+    ts, buyer, seller, btc, money = (c[first_of_key] for c in columns)
 
     stats = DedupStats(
-        raw_rows=raw_rows,
-        dropped_non_usd=dropped,
-        unpaired=unpaired,
-        paired=len(paired),
-        duplicates_removed=len(paired) - len(unique),
-        deduplicated=len(unique),
+        raw_rows=len(parsed),
+        dropped_non_usd=len(parsed) - len(usd),
+        unpaired=int(np.count_nonzero(counts == 1)),
+        paired=len(a),
+        duplicates_removed=len(a) - len(ts),
+        deduplicated=len(ts),
     )
-    return TradeLedger(unique, stats)
+    return TradeLedger(ts, buyer, seller, btc, money, parsed.user_names, stats)
 
 
-def write_canonical_csv(trades: Iterable[PairedTrade], stream: IO[str]) -> int:
-    """Write trades back out as canonical half rows (two per trade).
+def format_timestamps(ts: np.ndarray) -> list[str]:
+    """`fmt_ts` over an int64 column."""
+    text = np.datetime_as_string(np.asarray(ts).astype("datetime64[s]")).tolist()
+    return [t.replace("T", " ") for t in text]
 
-    Synthetic sequential trade ids; buy half first. Re-ingesting the output
-    reproduces the same ledger (pairing keeps first-seen as buyer and the buy
-    half carries the amounts). Returns the number of trades written.
+
+def format_fixed(values: np.ndarray, decimals: int) -> list[str]:
+    """Inverse of parse_scaled over an int64 column: `<whole>.<exactly decimals digits>`."""
+    if len(values) and values.min() < 0:
+        raise ValueError("negative fixed-point value")
+    whole, frac = np.divmod(values, 10**decimals)
+    return list(map(f"%d.%0{decimals}d".__mod__, zip(whole.tolist(), frac.tolist())))
+
+
+def write_canonical_csv(
+    stream: IO[str], trade_ids, buyers, sellers, ts, bitcoins_e8, money_e5
+) -> int:
+    """Write trades as canonical half rows, the buy half first; returns the trade count.
+
+    `trade_ids`, `buyers` and `sellers` are sequences of names, the rest int64
+    columns, one entry per trade. Re-ingesting the output reproduces the
+    trades (pairing keeps the first-seen half as buyer and takes its amounts).
     """
     w = csv.writer(stream)
-    w.writerow(["user_id", "trade_id", "timestamp", "currency", "bitcoins", "money", "side"])
-    n = 0
-    for i, t in enumerate(trades):
-        tid = f"t{i}"
-        ts = fmt_ts(t.ts)
-        btc = format_scaled(t.bitcoins_e8, BTC_DECIMALS)
-        money = format_scaled(t.money_e5, MONEY_DECIMALS)
-        w.writerow([t.buyer, tid, ts, "USD", btc, money, "buy"])
-        w.writerow([t.seller, tid, ts, "USD", btc, money, "sell"])
-        n += 1
-    return n
+    w.writerow(CANONICAL_HEADER)
+    for i in range(0, len(ts), _BLOCK):
+        part = slice(i, i + _BLOCK)
+        ids = trade_ids[part]
+        stamps = format_timestamps(ts[part])
+        btc = format_fixed(bitcoins_e8[part], BTC_DECIMALS)
+        money = format_fixed(money_e5[part], MONEY_DECIMALS)
+        usd = repeat("USD")
+        buys = zip(buyers[part], ids, stamps, usd, btc, money, repeat("buy"))
+        sells = zip(sellers[part], ids, stamps, usd, btc, money, repeat("sell"))
+        w.writerows(chain.from_iterable(zip(buys, sells)))
+    return len(ts)
 
 
 @dataclass(slots=True)
@@ -425,12 +459,6 @@ class AuxSeries:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def ts_array(self):
-        return [p.ts for p in self.points]
-
-    def value_array(self, key: str, default: float = 0.0):
-        return [p.values.get(key, default) for p in self.points]
 
 
 _AUX_SCHEMAS = {
@@ -494,21 +522,23 @@ def _parse_aux_row(kind: str, vals: list[str]) -> tuple:
         if direction not in ("input", "output"):
             raise ValueError(f"bad transfer type {vals[3]!r}")
         amount = float(vals[4])
-        if not amount >= 0.0:  # also catches NaN
+        if not (amount >= 0.0 and math.isfinite(amount)):
             raise ValueError(f"bad amount {vals[4]!r}")
         return (ts, direction, amount)
     if kind == "asset_bar":
         ts = parse_ts(vals[0])
         close = float(vals[1])
-        if not close > 0.0:
+        if not (close > 0.0 and math.isfinite(close)):
             raise ValueError(f"bad close {vals[1]!r}")
         tick = float(vals[2]) if vals[2] else 0.0
         volume = float(vals[3]) if vals[3] else 0.0
+        if not (math.isfinite(tick) and math.isfinite(volume)):
+            raise ValueError(f"non-finite tick or volume {vals[2]!r}, {vals[3]!r}")
         return (ts, close, tick, volume)
     # daily kinds: (date-ish, value)
     ts = parse_date(vals[0])
     value = float(vals[1])
-    if value != value:
+    if not math.isfinite(value):
         raise ValueError(f"bad value {vals[1]!r}")
     return (ts, value)
 

@@ -9,7 +9,6 @@ rather than re-derived from it.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -17,17 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError
-from .ingest import (
-    BTC_DECIMALS,
-    BTC_UNIT,
-    DAY,
-    MONEY_DECIMALS,
-    MONEY_UNIT,
-    PairedTrade,
-    fmt_ts,
-    format_scaled,
-    parse_date,
-)
+from .ingest import BTC_UNIT, DAY, MONEY_UNIT, parse_date, write_canonical_csv
 
 __all__ = [
     "CointegratedPair",
@@ -134,7 +123,9 @@ def gen_exchange_log(spec: SynthSpec) -> Tuple[str, dict]:
         return rate
 
     seen_keys = set()
-    trades: List[PairedTrade] = []
+    # (buyer, seller, bitcoins_e8, money_e5, ts) per organic trade; users are
+    # trader numbers, named u{number}
+    trades: List[Tuple[int, int, int, int, int]] = []
     wash_flags: List[bool] = []
     for interval in range(spec.n_days * (DAY // 1800)):
         t0 = start_ts + interval * 1800
@@ -152,46 +143,32 @@ def gen_exchange_log(spec: SynthSpec) -> Tuple[str, dict]:
                 btc_e8 = int(rng.integers(1_000_000, 10 * BTC_UNIT))
                 price = spec.price * (1.0 + 0.01 * rng.standard_normal())
                 money_e5 = max(1, round(btc_e8 / BTC_UNIT * price * MONEY_UNIT))
-                key = (f"u{buyer}", f"u{seller}", btc_e8, money_e5, ts)
+                key = (buyer, seller, btc_e8, money_e5, ts)
                 if key not in seen_keys:
                     break
             seen_keys.add(key)
-            trades.append(PairedTrade(f"u{buyer}", f"u{seller}", ts, btc_e8, money_e5))
+            trades.append(key)
             wash_flags.append(wash)
 
     pre_injection = len(trades)
-    duplicate_of = [i for i in range(pre_injection) if rng.random() < spec.duplicate_rate]
+    duplicate_of = np.flatnonzero(rng.random(pre_injection) < spec.duplicate_rate)
+    # organic trades as t0, t1, ..., then the duplicates as d{serial}, serials running on
+    trade_ids = [f"t{i}" for i in range(pre_injection)]
+    trade_ids += [f"d{pre_injection + j}" for j in range(len(duplicate_of))]
+    emitted = np.concatenate([np.arange(pre_injection), duplicate_of])
+    names = np.array([f"u{k}" for k in range(spec.n_traders)], dtype=object)
+    buyer, seller, btc_e8, money_e5, ts = np.array(trades, np.int64).reshape(-1, 5)[emitted].T
 
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["user_id", "trade_id", "timestamp", "currency", "bitcoins", "money", "side"])
-    serial = 0
-    wash_ids: List[str] = []
-
-    def emit(t: PairedTrade, tid: str) -> None:
-        ts = fmt_ts(t.ts)
-        btc = format_scaled(t.bitcoins_e8, BTC_DECIMALS)
-        money = format_scaled(t.money_e5, MONEY_DECIMALS)
-        writer.writerow([t.buyer, tid, ts, "USD", btc, money, "buy"])
-        writer.writerow([t.seller, tid, ts, "USD", btc, money, "sell"])
-
-    for i, t in enumerate(trades):
-        tid = f"t{serial}"
-        serial += 1
-        if wash_flags[i]:
-            wash_ids.append(tid)
-        emit(t, tid)
-    for i in duplicate_of:
-        emit(trades[i], f"d{serial}")
-        serial += 1
-
+    write_canonical_csv(buf, trade_ids, names[buyer], names[seller], ts, btc_e8, money_e5)
+    wash_ids = [tid for tid, w in zip(trade_ids, wash_flags) if w]
     sidecar = {
         "spec": spec.to_dict(),
         "pre_injection_count": pre_injection,
         "n_duplicates": len(duplicate_of),
         "wash_count": len(wash_ids),
         "wash_trade_ids": wash_ids,
-        "wash_keys": [list(t.key) for t, f in zip(trades, wash_flags) if f],
+        "wash_keys": [[f"u{b}", f"u{s}", *k] for (b, s, *k), w in zip(trades, wash_flags) if w],
     }
     return buf.getvalue(), sidecar
 

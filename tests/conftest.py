@@ -71,7 +71,20 @@ def canonical_csv(rows):
 
 
 def ledger_of(text, schema="canonical"):
-    return pair_and_dedup(parse_trade_log(io.StringIO(text), schema=schema).records)
+    return pair_and_dedup(parse_trade_log(io.StringIO(text), schema=schema))
+
+
+def trade_keys(led):
+    """(buyer, seller, bitcoins_e8, money_e5, ts) per trade of a TradeLedger or FlaggedLedger."""
+    return list(
+        zip(
+            led.users[led.buyer].tolist(),
+            led.users[led.seller].tolist(),
+            led.bitcoins_e8.tolist(),
+            led.money_e5.tolist(),
+            led.ts.tolist(),
+        )
+    )
 
 
 def halves(user_a, user_b, trade_id, ts, btc, money):

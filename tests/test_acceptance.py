@@ -33,7 +33,7 @@ from goxlens.ml import RecurrentNet, build_lagged, importance_report, train_fore
 from goxlens.studies import EventConfig, study_event
 from goxlens.synth import SynthSpec, gen_cointegrated_pair, gen_exchange_log, gen_var_process
 
-from conftest import bars_from_arrays, ledger_of, planted_reports
+from conftest import bars_from_arrays, ledger_of, planted_reports, trade_keys
 from test_irf import model_from, sim_oracle
 
 MONDAY = parse_date("2013-01-07")
@@ -82,7 +82,7 @@ def test_criterion_01_wash_detection_is_exact(detection_corpus):
     worst_precision = worst_recall = 1.0
     for csv_text, sidecar, window in detection_corpus:
         flagged = flag_wash(ledger_of(csv_text), window)
-        predicted = {t.key for t, is_wash in flagged if is_wash}
+        predicted = {k for k, is_wash in zip(trade_keys(flagged), flagged.wash) if is_wash}
         truth = {tuple(k) for k in sidecar["wash_keys"]}
         hit = len(predicted & truth)
         worst_precision = min(worst_precision, hit / len(predicted))
@@ -363,7 +363,7 @@ def test_criterion_13_leaked_dataset_reproduction():
     )
 
     parsed = parse_trade_log(LEAK_CSV, schema="mtgox_leak")
-    ledger = pair_and_dedup(parsed.records)
+    ledger = pair_and_dedup(parsed)
     count_ok = ledger.stats.deduplicated == 7_741_721
 
     flagged = flag_wash(ledger)

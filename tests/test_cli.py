@@ -141,7 +141,49 @@ def test_ingest_preserves_dedup_stats(synth_dir, tmp_path):
     # round trip: the canonical rewrite parses cleanly under its own schema
     reparsed = parse_trade_log(str(out / "trades.csv"), schema="canonical")
     assert len(reparsed.row_errors) == 0
-    assert len(reparsed.records) == 2 * truth["pre_injection_count"]
+    assert len(reparsed) == 2 * truth["pre_injection_count"]
+
+
+def test_ingest_round_trips_early_years_and_refuses_past_9999(tmp_path):
+    # a year before 1000 is written back in four digits, so the rewrite ingests
+    # again without row errors; an epoch past 9999-12-31 is a row error
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "user_id,trade_id,timestamp,currency,bitcoins,money,side\n"
+        "a,1,0999-01-01 00:00:00,USD,1.0,5.0,buy\n"
+        "b,1,0999-01-01 00:00:00,USD,1.0,5.0,sell\n"
+        "c,2,99999999999999,USD,1.0,5.0,buy\n"
+        "d,2,99999999999999,USD,1.0,5.0,sell\n"
+    )
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("ingest", "--trades", str(log), "--schema", "canonical", "--out", str(first)) == 0
+    report = json.loads((first / "ingest.json").read_text())
+    assert [(e["line"], e["reason"]) for e in report["first_row_errors"]] == [
+        (line, "timestamp out of range: '99999999999999'") for line in (4, 5)
+    ]
+    rewritten = first / "trades.csv"
+    assert rewritten.read_text().splitlines()[1:] == [
+        "a,t0,0999-01-01 00:00:00,USD,1.00000000,5.00000,buy",
+        "b,t0,0999-01-01 00:00:00,USD,1.00000000,5.00000,sell",
+    ]
+    code = run("ingest", "--trades", str(rewritten), "--schema", "canonical", "--out", str(second))
+    assert code == 0
+    assert json.loads((second / "ingest.json").read_text())["n_row_errors"] == 0
+    assert (second / "trades.csv").read_bytes() == rewritten.read_bytes()
+
+
+def test_detect_without_wash_trades_writes_the_header_only(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "user_id,trade_id,timestamp,currency,bitcoins,money,side\n"
+        "a,1,2013-01-01 00:00:00,USD,1.0,5.0,buy\n"
+        "b,1,2013-01-01 00:00:00,USD,1.0,5.0,sell\n"
+    )
+    out = tmp_path / "det"
+    code = run("detect", "--trades", str(log), "--schema", "canonical", "--out", str(out))
+    assert code == 0
+    assert (out / "wash_trades.csv").read_text() == "buyer,seller,timestamp,bitcoins,money\n"
+    assert json.loads((out / "detect.json").read_text())["wash_count"] == 0
 
 
 def test_bars_cover_the_window_densely(synth_dir, tmp_path):

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from goxlens.detect import DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, TimeWindow, flag_wash
 from goxlens.ingest import DAY, parse_date, parse_ts
 
-from conftest import canonical_csv, halves, ledger_of
+from conftest import canonical_csv, halves, ledger_of, trade_keys
 
 
 # --- windows -----------------------------------------------------------------
@@ -54,15 +55,13 @@ def _flag(rows, window=None):
 
 def test_self_trade_is_wash():
     fl = _flag(halves("42", "42", "t", "2012-01-01 00:00:00", 1.0, 5.0))
-    ((trade, is_wash),) = list(fl)
-    assert is_wash
+    assert fl.wash == [True]
     assert fl.wash_count == 1 and fl.nonwash_count == 0
 
 
 def test_cross_trade_is_not_wash():
     fl = _flag(halves("42", "43", "t", "2012-01-01 00:00:00", 1.0, 5.0))
-    ((_, is_wash),) = list(fl)
-    assert not is_wash
+    assert fl.wash == [False]
 
 
 def test_trades_outside_window_excluded():
@@ -87,11 +86,11 @@ def test_counts_partition_the_window():
             rows += halves(f"u{a}", f"u{b}", f"t{i}", ts, 1.0 + (i % 7) * 0.01, 5.0)
     assert planted == 300
     fl = _flag(rows)
-    flagged = {t.buyer for t, w in fl if w}
+    flagged = {buyer for (buyer, *_), w in zip(trade_keys(fl), fl.wash) if w}
     assert fl.wash_count == 300  # recall and precision both exact
     assert all(u.startswith("w") for u in flagged)
     assert fl.wash_count + fl.nonwash_count == len(fl)
-    assert len(fl.wash_trades()) == 300
+    assert int(np.count_nonzero(fl.buyer == fl.seller)) == 300
 
 
 def test_flags_are_pure_in_counterparties():
@@ -99,6 +98,6 @@ def test_flags_are_pure_in_counterparties():
     rows += halves("5", "6", "b", "2012-01-01 00:00:01", 1.0, 5.0)
     fl1 = _flag(rows)
     fl2 = _flag(list(reversed(rows)))
-    m1 = {t.key: w for t, w in fl1}
-    m2 = {t.key: w for t, w in fl2}
+    m1 = dict(zip(trade_keys(fl1), fl1.wash))
+    m2 = dict(zip(trade_keys(fl2), fl2.wash))
     assert m1 == m2

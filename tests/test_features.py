@@ -167,9 +167,9 @@ def test_adjacent_bars_sum_to_hourly_aggregate():
     fl = flagged_from(rows)
     bars = build_bars(fl)
     want = {"wash": 0, "nonwash": 0, "dollar": 0, "n": 0}
-    for t, w in fl:
-        want["wash" if w else "nonwash"] += t.bitcoins_e8
-        want["dollar"] += t.money_e5
+    for btc, money, w in zip(fl.bitcoins_e8.tolist(), fl.money_e5.tolist(), fl.wash):
+        want["wash" if w else "nonwash"] += btc
+        want["dollar"] += money
         want["n"] += 1
     assert bars.wash_e8[:2].sum() == want["wash"]
     assert bars.nonwash_e8[:2].sum() == want["nonwash"]
@@ -288,9 +288,10 @@ def test_bars_csv_header_enforced():
         ("2012-01-01 00:30:00,99999999999.00000000,0.00000000,99999999999.00000000,0.00000,,0.0,0.0",
          "out of range"),
         # one second past 9999-12-31 23:59:59, the last start fmt_ts can print
-        ("253402300800,1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0", "start out of range"),
+        ("253402300800,1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0",
+         "timestamp out of range"),
         ("99999999999999999999,1.00000000,2.00000000,3.00000000,0.00000,,0.0,0.0",
-         "start out of range"),
+         "timestamp out of range"),
     ],
 )
 def test_bars_csv_rejects_malformed_rows(row, reason):

@@ -7,11 +7,12 @@ import pytest
 from goxlens.errors import DataError, PairingError, SchemaError
 from goxlens.ingest import (
     BTC_UNIT,
+    BUY,
     DAY,
     MONEY_UNIT,
     fmt_date,
     fmt_ts,
-    format_scaled,
+    format_fixed,
     pair_and_dedup,
     parse_aux,
     parse_date,
@@ -21,7 +22,7 @@ from goxlens.ingest import (
     write_canonical_csv,
 )
 
-from conftest import canonical_csv, halves, ledger_of
+from conftest import canonical_csv, halves, ledger_of, trade_keys
 
 MTGOX_HEADER = "User_Id,Trade_Id,Date,Japan,Currency,Bitcoins,Money,Type"
 
@@ -48,9 +49,10 @@ def test_format_scaled_round_trip():
     for _ in range(500):
         decimals = rng.choice((5, 8))
         v = rng.randrange(0, 10**13)
-        assert parse_scaled(format_scaled(v, decimals), decimals) == v
+        (text,) = format_fixed(np.array([v]), decimals)
+        assert parse_scaled(text, decimals) == v
     with pytest.raises(ValueError):
-        format_scaled(-1, 8)
+        format_fixed(np.array([-1]), 8)
 
 
 # --- timestamps --------------------------------------------------------------
@@ -107,7 +109,7 @@ def test_bad_timestamps_become_row_errors():
     lines = [MTGOX_HEADER, "u0,1,2012-01-01 00:00:00,NJP,USD,1.5,10.0,buy"]
     lines += [f"u{i},{i + 2},{ts},NJP,USD,1.5,10.0,buy" for i, ts in enumerate(BAD_TIMESTAMPS)]
     pr = parse_trade_log(io.StringIO("\n".join(lines) + "\n"), schema="mtgox_leak")
-    assert [r.ts for r in pr.records] == [parse_date("2012-01-01")]
+    assert pr.ts.tolist() == [parse_date("2012-01-01")]
     assert [line for line, _ in pr.row_errors] == list(range(3, 3 + len(BAD_TIMESTAMPS)))
     assert all("bad timestamp" in reason for _, reason in pr.row_errors)
 
@@ -141,7 +143,7 @@ def test_parse_date_fields_at_their_bounds():
 def test_bad_dates_become_daily_aux_row_errors():
     lines = ["date,volume_btc", "2012-01-01,100"] + [f"{d},5" for d in BAD_DATES]
     aux = parse_aux(io.StringIO("\n".join(lines) + "\n"), "market_daily")
-    assert aux.ts_array() == [parse_date("2012-01-01")]
+    assert [p.ts for p in aux.points] == [parse_date("2012-01-01")]
     assert [line for line, _ in aux.row_errors] == list(range(3, 3 + len(BAD_DATES)))
     assert all("bad date" in reason for _, reason in aux.row_errors)
 
@@ -153,19 +155,17 @@ def test_leak_row_parses_to_exact_amounts():
     text = MTGOX_HEADER + "\n176214,2650732688407216,2011-12-31 21:19:04,NJP,USD,6.00,28.12392,buy\n"
     pr = parse_trade_log(io.StringIO(text), schema="mtgox_leak")
     assert pr.n_rows == 1 and not pr.row_errors
-    (rec,) = pr.records
-    assert rec.user_id == "176214"
-    assert rec.trade_id == "2650732688407216"
-    assert rec.bitcoins_e8 == 6 * BTC_UNIT
-    assert rec.money_e5 == 2812392
-    assert rec.bitcoins == pytest.approx(6.0)
-    assert rec.money == pytest.approx(28.12392)
-    assert rec.ts == parse_ts("2011-12-31 21:19:04")
+    assert pr.user_names[pr.user].tolist() == ["176214"]
+    assert pr.trade_ids[pr.trade].tolist() == ["2650732688407216"]
+    assert pr.bitcoins_e8.tolist() == [6 * BTC_UNIT]
+    assert pr.money_e5.tolist() == [2812392]
+    assert pr.ts.tolist() == [parse_ts("2011-12-31 21:19:04")]
+    assert pr.side.tolist() == [BUY] and pr.usd.tolist() == [True]
 
 
 def test_header_only_file_is_empty():
     pr = parse_trade_log(io.StringIO(MTGOX_HEADER + "\n"), schema="mtgox_leak")
-    assert pr.records == [] and pr.n_skipped == 0
+    assert len(pr) == 0 and pr.row_errors == []
 
 
 def test_unknown_schema_rejected():
@@ -188,8 +188,8 @@ def test_bad_rows_become_row_errors():
     bad = sum("oops" in ln for ln in lines[1:])  # independent line scan
     pr = parse_trade_log(io.StringIO("\n".join(lines) + "\n"), schema="mtgox_leak")
     assert bad == 10
-    assert len(pr.records) == 990
-    assert len(pr.row_errors) == 10 == pr.n_skipped
+    assert len(pr) == 990
+    assert len(pr.row_errors) == 10
 
 
 def test_non_usd_rows_dropped_in_pairing():
@@ -208,8 +208,8 @@ def test_non_usd_rows_dropped_in_pairing():
 
 def test_minimal_pair_roles_follow_side():
     led = ledger_of(canonical_csv(halves("7", "8", "t", "2012-01-01 00:00:00", 2.0, 9.0)))
-    (t,) = led.trades
-    assert (t.buyer, t.seller) == ("7", "8")
+    ((buyer, seller, *_),) = trade_keys(led)
+    assert (buyer, seller) == ("7", "8")
     assert led.stats.duplicates_removed == 0
 
 
@@ -218,8 +218,8 @@ def test_first_seen_is_buyer_without_sides():
         ("9", "t", "2012-01-01 00:00:00", "USD", "2.0", "9.0", ""),
         ("5", "t", "2012-01-01 00:00:00", "USD", "2.0", "9.0", ""),
     ]
-    (t,) = ledger_of(canonical_csv(rows)).trades
-    assert (t.buyer, t.seller) == ("9", "5")
+    ((buyer, seller, *_),) = trade_keys(ledger_of(canonical_csv(rows)))
+    assert (buyer, seller) == ("9", "5")
 
 
 def test_three_halves_is_a_pairing_error():
@@ -244,7 +244,7 @@ def test_ledger_sorted_by_timestamp():
     rows = halves("1", "2", "b", "2012-01-01 00:00:05", 1.0, 5.0)
     rows += halves("3", "4", "a", "2012-01-01 00:00:01", 1.0, 5.0)
     led = ledger_of(canonical_csv(rows))
-    ts = [t.ts for t in led.trades]
+    ts = led.ts.tolist()
     assert ts == sorted(ts)
 
 
@@ -303,23 +303,31 @@ def test_permutation_invariance():
     rng = random.Random(5)
     rng.shuffle(rows)
     led_b = ledger_of(canonical_csv(rows))
-    assert [t.key for t in led_a.trades] == [t.key for t in led_b.trades]
+    assert trade_keys(led_a) == trade_keys(led_b)
+
+
+def _rewrite(led):
+    """The ledger as `goxlens ingest` writes it: (trade count, canonical CSV text)."""
+    buf = io.StringIO()
+    users = led.users
+    n = write_canonical_csv(
+        buf, [f"t{i}" for i in range(len(led))], users[led.buyer], users[led.seller],
+        led.ts, led.bitcoins_e8, led.money_e5,
+    )
+    return n, buf.getvalue()
 
 
 def test_round_trip_is_idempotent():
     led = ledger_of(canonical_csv(_dup_rows(25, 5)))
-    buf = io.StringIO()
-    write_canonical_csv(led.trades, buf)
-    again = ledger_of(buf.getvalue())
-    assert [t.key for t in again.trades] == [t.key for t in led.trades]
+    again = ledger_of(_rewrite(led)[1])
+    assert trade_keys(again) == trade_keys(led)
     assert again.stats.duplicates_removed == 0
 
 
 def test_canonical_writer_layout():
     led = ledger_of(canonical_csv(halves("7", "8", "t", "2012-01-01 00:00:00", 2.0, 9.0)))
-    buf = io.StringIO()
-    n = write_canonical_csv(led.trades, buf)
-    lines = buf.getvalue().splitlines()
+    n, text = _rewrite(led)
+    lines = text.splitlines()
     assert n == 1
     assert lines[0] == "user_id,trade_id,timestamp,currency,bitcoins,money,side"
     assert lines[1] == "7,t0,2012-01-01 00:00:00,USD,2.00000000,9.00000,buy"
@@ -364,6 +372,38 @@ def test_onchain_unknown_direction_is_row_error():
     assert len(aux.row_errors) == 1
 
 
+@pytest.mark.parametrize(
+    "kind, header, row",
+    [
+        ("onchain", "timestamp,transaction_id,address,type,amount",
+         "2011-10-06 11:55:30,tx,addr,input,{}"),
+        ("asset_bar", "timestamp,close,tick,volume", "2012-01-01 00:00:00,{},5,1.0"),
+        ("asset_bar", "timestamp,close,tick,volume", "2012-01-01 00:00:00,10.0,{},1.0"),
+        ("asset_bar", "timestamp,close,tick,volume", "2012-01-01 00:00:00,10.0,5,{}"),
+        ("market_daily", "date,volume_btc", "2012-01-01,{}"),
+        ("supply", "date,circulating_supply", "2012-01-01,{}"),
+        ("trends", "week_start,score", "2012-01-01,{}"),
+    ],
+)
+def test_non_finite_aux_values_are_row_errors(kind, header, row):
+    cells = ["inf", "-inf", "nan", "Infinity"]
+    text = "\n".join([header, row.format("1.0"), *(row.format(c) for c in cells)]) + "\n"
+    aux = parse_aux(io.StringIO(text), kind)
+    assert len(aux) == 1
+    assert [line for line, _ in aux.row_errors] == list(range(3, 3 + len(cells)))
+
+
+def test_amount_past_int64_is_a_row_error():
+    big = "92233720368.54775808"  # 2**63 at 1e-8
+    text = canonical_csv(
+        halves("1", "2", "a", "2012-01-01 00:00:00", "1.0", "5.0")
+        + halves("3", "4", "b", "2012-01-01 00:00:00", big, "5.0")
+    )
+    pr = parse_trade_log(io.StringIO(text), schema="canonical")
+    assert len(pr) == 2
+    assert pr.row_errors == [(4, "amount out of range"), (5, "amount out of range")]
+
+
 def test_supply_single_row():
     aux = parse_aux(io.StringIO("date,circulating_supply\n2012-01-01,8000000\n"), "supply")
     assert len(aux) == 1
@@ -396,5 +436,5 @@ def test_aux_unknown_kind():
 def test_aux_value_arrays():
     text = "date,volume_btc\n2012-01-01,100\n2012-01-02,250.5\n"
     aux = parse_aux(io.StringIO(text), "market_daily")
-    assert np.array_equal(aux.ts_array(), [parse_date("2012-01-01"), parse_date("2012-01-02")])
-    assert np.allclose(aux.value_array("volume_btc"), [100.0, 250.5])
+    assert [p.ts for p in aux.points] == [parse_date("2012-01-01"), parse_date("2012-01-02")]
+    assert [p.values["volume_btc"] for p in aux.points] == [100.0, 250.5]

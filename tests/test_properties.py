@@ -30,13 +30,13 @@ from goxlens.ingest import (
     DAY,
     MONEY_DECIMALS,
     fmt_ts,
-    format_scaled,
+    format_fixed,
     parse_date,
     parse_scaled,
     parse_ts,
 )
 
-from conftest import bars_from_arrays, canonical_csv, halves, ledger_of
+from conftest import bars_from_arrays, canonical_csv, halves, ledger_of, trade_keys
 
 D0 = parse_date("2012-01-01")
 WINDOW = TimeWindow.from_dates("2012-01-01", "2012-01-02")
@@ -51,6 +51,11 @@ trade = st.tuples(
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 
+def _spelled(value, decimals):
+    """A fixed-point amount spelled as the writers spell it."""
+    return f"{value // 10**decimals}.{value % 10**decimals:0{decimals}d}"
+
+
 def _flagged(trades):
     rows = []
     for i, (buyer, seller, sec, btc, money) in enumerate(trades):
@@ -59,8 +64,8 @@ def _flagged(trades):
             f"u{seller}",
             f"t{i}",
             fmt_ts(D0 + sec),
-            format_scaled(btc, BTC_DECIMALS),
-            format_scaled(money, MONEY_DECIMALS),
+            _spelled(btc, BTC_DECIMALS),
+            _spelled(money, MONEY_DECIMALS),
         )
     return flag_wash(ledger_of(canonical_csv(rows)), WINDOW)
 
@@ -72,17 +77,16 @@ def test_bars_conserve_ledger_volume(trades):
     bars = build_bars(flagged)
     assert len(bars) == 2 * DAY // BAR_SECONDS
 
+    btc = flagged.bitcoins_e8.tolist()
     total = [0] * len(bars)
-    for t in flagged.trades:
-        total[(t.ts - WINDOW.start) // BAR_SECONDS] += t.bitcoins_e8
+    for ts, b in zip(flagged.ts.tolist(), btc):
+        total[(ts - WINDOW.start) // BAR_SECONDS] += b
     assert (bars.wash_e8 + bars.nonwash_e8).tolist() == total
 
-    wash = flagged.wash_trades()
-    nonwash = [t for t, w in flagged if not w]
-    assert int(bars.wash_e8.sum()) == sum(t.bitcoins_e8 for t in wash)
-    assert int(bars.nonwash_e8.sum()) == sum(t.bitcoins_e8 for t in nonwash)
-    assert int(bars.dollar_e5.sum()) == sum(t.money_e5 for t in flagged.trades)
-    assert int(bars.n_trades.sum()) == len(flagged.trades)
+    assert int(bars.wash_e8.sum()) == sum(b for b, w in zip(btc, flagged.wash) if w)
+    assert int(bars.nonwash_e8.sum()) == sum(b for b, w in zip(btc, flagged.wash) if not w)
+    assert int(bars.dollar_e5.sum()) == sum(flagged.money_e5.tolist())
+    assert int(bars.n_trades.sum()) == len(flagged)
 
 
 @PROPERTY
@@ -123,8 +127,9 @@ def test_daily_sums_match_a_left_to_right_sum(values):
 @PROPERTY
 @given(st.integers(0, 10**20), st.sampled_from([BTC_DECIMALS, MONEY_DECIMALS]), st.data())
 def test_scaled_amounts_round_trip_in_any_spelling(value, decimals, data):
-    text = format_scaled(value, decimals)
-    assert text == f"{value // 10**decimals}.{value % 10**decimals:0{decimals}d}"
+    text = _spelled(value, decimals)
+    if value < 2**63:  # the int64 columns the writers format
+        assert format_fixed(np.array([value]), decimals) == [text]
     assert parse_scaled(text, decimals) == value
     # the same amount with zeros trimmed or padded on the left, or blanks around it
     whole, frac = text.split(".")
@@ -185,7 +190,100 @@ def test_dedup_stats_match_a_brute_force_recount(trades, non_usd, orphans, tripl
     assert stats.paired == len(trades)
     assert stats.deduplicated == len(keys) == len(ledger)
     assert stats.paired - stats.duplicates_removed == stats.deduplicated
-    assert sorted((t.buyer, t.seller, t.ts, t.bitcoins_e8, t.money_e5) for t in ledger) == sorted(keys)
+    assert sorted((b, s, ts, btc, money) for b, s, btc, money, ts in trade_keys(ledger)) == sorted(keys)
+
+
+def _reference_ledger(rows):
+    """Plain-Python pairing and dedup: a dict of halves per trade id, a seen-set, a sort.
+
+    The reference for the columnar `pair_and_dedup`. Takes canonical half rows
+    (user, trade id, timestamp, currency, bitcoins, money, side), all valid;
+    returns the ledger's (buyer, seller, bitcoins_e8, money_e5, ts) keys in
+    output order and its `DedupStats` as a dict, or raises PairingError.
+    """
+    by_id = {}
+    dropped = 0
+    for user, tid, ts, currency, btc, money, side in rows:
+        if currency != "USD":
+            dropped += 1
+            continue
+        side = side.strip().lower()
+        half = (user, parse_ts(ts), parse_scaled(btc, 8), parse_scaled(money, 5), side)
+        by_id.setdefault(tid, []).append(half)
+    ambiguous = sorted(tid for tid, halves in by_id.items() if len(halves) > 2)
+    if ambiguous:
+        raise PairingError(ambiguous)
+    paired = []
+    unpaired = 0
+    for halves in by_id.values():
+        if len(halves) == 1:
+            unpaired += 1
+            continue
+        a, b = halves
+        if a[4] == "buy":
+            buyer, seller = a, b
+        elif b[4] == "buy":
+            buyer, seller = b, a
+        elif a[4] == "sell":
+            buyer, seller = b, a
+        else:
+            buyer, seller = a, b
+        paired.append((buyer[0], seller[0], a[2], a[3], a[1]))
+    seen = set()
+    unique = []
+    for key in paired:
+        if key not in seen:
+            seen.add(key)
+            unique.append(key)
+    unique.sort(key=lambda k: (k[4], k[0], k[1], k[2], k[3]))
+    stats = {
+        "raw_rows": len(rows),
+        "dropped_non_usd": dropped,
+        "unpaired": unpaired,
+        "paired": len(paired),
+        "duplicates_removed": len(paired) - len(unique),
+        "deduplicated": len(unique),
+    }
+    return unique, stats
+
+
+# users whose string order differs from their numeric or case-folded order,
+# and non-ASCII ones; sides in every spelling the parser maps
+AWKWARD_USERS = ["u1", "u10", "U1", "u2", "\u00e9", "e\u0301", "\u65e5\u672c", "a b"]
+half_row = st.tuples(
+    st.sampled_from(AWKWARD_USERS),
+    st.sampled_from(["buy", "sell", "", "BUY", " Sell ", "bid"]),
+    st.sampled_from(["USD", "USD", "USD", "EUR"]),
+)
+paired_trade = st.tuples(
+    st.sampled_from(["t", "T", "\u00e9"]),  # trade id prefix
+    half_row,
+    half_row,
+    st.integers(0, 2),  # seconds
+    st.integers(0, 2),  # bitcoins
+    st.integers(0, 2),  # money
+    st.sampled_from([2, 2, 2, 1, 3]),  # halves written: orphans and ids seen three times too
+)
+
+
+@PROPERTY
+@given(st.lists(paired_trade, max_size=30), st.data())
+def test_columnar_pairing_matches_the_dict_reference(trades, data):
+    rows = []
+    for i, (prefix, first, second, sec, btc, money, n_halves) in enumerate(trades):
+        for user, side, currency in (first, second, first)[:n_halves]:
+            rows.append((user, f"{prefix}{i}", fmt_ts(D0 + sec), currency, f"{btc}.5", f"{money}.0", side))
+    rows = data.draw(st.permutations(rows))
+    try:
+        want, want_stats = _reference_ledger(rows)
+    except PairingError as err:
+        with pytest.raises(PairingError) as got:
+            ledger_of(canonical_csv(rows))
+        assert got.value.trade_ids == err.trade_ids
+        return
+    ledger = ledger_of(canonical_csv(rows))
+    assert trade_keys(ledger) == want
+    assert ledger.stats.as_dict() == want_stats
 
 
 # --- bars.csv codec: the column-at-a-time reader against the row parser ------

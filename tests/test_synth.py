@@ -15,7 +15,7 @@ from goxlens.synth import (
     gen_var_process,
 )
 
-from conftest import ledger_of
+from conftest import ledger_of, trade_keys
 
 
 def _window(spec):
@@ -48,7 +48,7 @@ def test_flagging_recovers_exactly_the_planted_set():
     spec = SynthSpec(seed=9, n_days=2, trades_per_interval=15.0, wash_rate=0.05)
     csv_text, sidecar = gen_exchange_log(spec)
     flagged = flag_wash(ledger_of(csv_text), _window(spec))
-    got = {t.key for t, w in zip(flagged.trades, flagged.wash) if w}
+    got = {k for k, w in zip(trade_keys(flagged), flagged.wash) if w}
     want = {tuple(k) for k in sidecar["wash_keys"]}
     assert got == want
 
@@ -88,9 +88,9 @@ def test_surge_window_overrides_the_base_rate():
     # outside the surge the base rate 0 applies: all wash keys are inside,
     # and every in-window trade is wash (rate 1.0)
     flagged = flag_wash(ledger_of(csv_text), _window(spec))
-    in_window = [t for t in flagged.trades if lo <= t.ts < hi]
+    in_window = [(b, s) for b, s, _, _, ts in trade_keys(flagged) if lo <= ts < hi]
     assert len(in_window) == sidecar["wash_count"]
-    assert all(t.buyer == t.seller for t in in_window)
+    assert all(b == s for b, s in in_window)
 
 
 def test_log_round_trips_through_the_parser():
