@@ -30,15 +30,12 @@ _SOURCES = {
         "AssetBarSeries",
         "BarSeries",
         "QuartileLabel",
-        "SupplyCurve",
         "WeeklyBucket",
         "build_asset_bars",
         "build_bars",
         "daily_quartiles",
         "daily_sums",
         "filter_stationary_weeks",
-        "interpolate_supply",
-        "marketcap_share",
         "weekly_rollup",
     ),
     "ingest": (

@@ -172,11 +172,23 @@ def _parse_aux_flags(args) -> List[Tuple[str, Optional[str], str]]:
     return out
 
 
-def _require_aux(args, kind: str):
+def _read_aux(kind: str, name: Optional[str], path: str, notes: List[str]):
+    """parse_aux, with a note in `notes` when malformed rows were skipped."""
+    aux = parse_aux(path, kind)
+    if aux.row_errors:
+        line, reason = aux.row_errors[0]
+        head = f"{kind}:{name}" if name else kind
+        notes.append(
+            f"{head}: {len(aux.row_errors)} malformed rows skipped; first at line {line}: {reason}"
+        )
+    return aux
+
+
+def _require_aux(args, kind: str, notes: List[str]):
     entries = [e for e in _parse_aux_flags(args) if e[0] == kind]
     if len(entries) != 1:
         raise UsageError(f"exactly one --aux {kind}=path is required")
-    return parse_aux(entries[0][2], kind)
+    return _read_aux(*entries[0], notes)
 
 
 def _load_flagged(args):
@@ -282,6 +294,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     bars = _load_bars(args)
     study = args.study
+    aux_notes: List[str] = []  # malformed aux rows, added to the report's notes
 
     if study == "timing":
         report = study_timing(
@@ -292,11 +305,12 @@ def cmd_analyze(args) -> int:
             threads=args.threads,
         )
     elif study == "onchain":
-        report = study_onchain(bars, _require_aux(args, "onchain"), daily_quartiles(bars))
+        chain = _require_aux(args, "onchain", aux_notes)
+        report = study_onchain(bars, chain, daily_quartiles(bars))
     elif study == "market":
         report = study_market(
             daily_sums(bars, "nonwash"),
-            _require_aux(args, "market_daily"),
+            _require_aux(args, "market_daily", aux_notes),
             daily_quartiles(bars),
         )
     elif study == "cross-asset":
@@ -305,9 +319,9 @@ def cmd_analyze(args) -> int:
             raise UsageError("at least one --aux asset_bar:LABEL=path is required")
         assets = [
             build_asset_bars(
-                parse_aux(path, "asset_bar"), bars.window, name or Path(path).stem
+                _read_aux(kind, name, path, aux_notes), bars.window, name or Path(path).stem
             )
-            for _, name, path in entries
+            for kind, name, path in entries
         ]
         report = study_cross_asset(bars, assets)
     elif study == "media":
@@ -316,7 +330,7 @@ def cmd_analyze(args) -> int:
             out / "dropped_weeks.csv",
             [["week_start", "series", "reason"], *([fmt_date(wk), s, r] for wk, s, r in dropped)],
         )
-        report = study_media(weekly, _require_aux(args, "trends"))
+        report = study_media(weekly, _require_aux(args, "trends", aux_notes))
     elif study == "event":
         try:
             event_ts = parse_ts(args.event)
@@ -327,6 +341,7 @@ def cmd_analyze(args) -> int:
     else:  # unreachable: argparse restricts choices
         raise UsageError(f"unknown study {study!r}")
 
+    report.notes.extend(aux_notes)
     _emit_report(report, out)
     return 0
 

@@ -203,6 +203,8 @@ def engle_granger(y, x) -> EgResult:
         raise DataError(f"need >= 50 observations, got {len(y)}")
     if np.ptp(x) == 0.0:
         raise DataError("constant x series")
+    if np.ptp(y) == 0.0:
+        raise DataError("constant y series")
 
     step1 = ols(y, x, intercept=True)
     resid = step1.resid

@@ -2,9 +2,9 @@
 
 Everything downstream runs on five aligned series built here from flagged
 trades: wash volume, nonwash volume, total volume, Amihud illiquidity ("liq")
-and realized volatility ("vol"). Also: the bars.csv codec, supply
-interpolation, daily wash-volume quartiles, ISO-week rollups with a
-stationarity filter, and external asset bars with closed-market zeros.
+and realized volatility ("vol"). Also: the bars.csv codec, daily wash-volume
+quartiles, ISO-week rollups with a stationarity filter, and external asset
+bars with closed-market zeros.
 
 Measure conventions (the bar-level formulas are ours; sources define only the
 names): Amihud is |log return of bar VWAP| per unit of bar dollar volume,
@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date as _date
@@ -40,15 +39,14 @@ from .ingest import (
     AuxSeries,
     Source,
     _open_text,
-    fmt_date,
+    bin_sums,
     fmt_ts,
     format_fixed,
     format_timestamps,
+    last_of_runs,
     parse_scaled,
     parse_ts,
 )
-
-log = logging.getLogger("goxlens.features")
 
 BAR_SECONDS = 1800
 BARS_PER_DAY = DAY // BAR_SECONDS  # 48
@@ -445,64 +443,6 @@ def build_bars(flagged: FlaggedLedger) -> BarSeries:
     return BarSeries(starts, wash_e8, nonwash_e8, dollar_e5, n_trades, vwap, liq, rvol, window)
 
 
-@dataclass
-class SupplyCurve:
-    """Piecewise-linear circulating supply, anchored at daily points."""
-
-    day_ts: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.day_ts = np.asarray(self.day_ts, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if len(self.day_ts) < 2:
-            raise DataError("supply curve needs at least 2 anchor points")
-        if np.any(np.diff(self.day_ts) <= 0):
-            raise DataError("supply anchors must be strictly increasing in time")
-        if np.any(np.diff(self.values) < 0):
-            raise DataError("circulating supply must be non-decreasing")
-
-    def at(self, ts) -> np.ndarray:
-        """Supply on the UTC day of ts; clamped (with a warning) outside anchors."""
-        day = np.asarray(ts, dtype=np.int64)
-        day = day - day % DAY
-        n_out = int(np.sum((day < self.day_ts[0]) | (day > self.day_ts[-1])))
-        if n_out:
-            log.warning(
-                "supply lookup: %d timestamp(s) outside anchor range %s..%s, clamped",
-                n_out,
-                fmt_date(int(self.day_ts[0])),
-                fmt_date(int(self.day_ts[-1])),
-            )
-        return np.interp(day, self.day_ts, self.values)
-
-
-def interpolate_supply(points) -> SupplyCurve:
-    """Build a SupplyCurve from (day epoch, supply) pairs or a supply AuxSeries."""
-    if isinstance(points, AuxSeries):
-        if points.kind != "supply":
-            raise DataError(f"expected supply aux series, got {points.kind!r}")
-        pairs = [(p.ts, p.values["supply"]) for p in points.points]
-    else:
-        pairs = [(int(ts), float(v)) for ts, v in points]
-    return SupplyCurve(
-        np.array([t for t, _ in pairs]), np.array([v for _, v in pairs])
-    )
-
-
-def marketcap_share(flagged: FlaggedLedger, curve: SupplyCurve) -> float:
-    """Mean over wash trades of 100 * trade BTC / circulating supply that day.
-
-    The share of market cap taken by a BTC-denominated trade is
-    price-invariant: price cancels from numerator and denominator.
-    """
-    wash = np.array(flagged.wash, dtype=bool)
-    if not wash.any():
-        return math.nan
-    supply = curve.at(flagged.ts[wash])
-    return float(np.mean(100.0 * (flagged.bitcoins_e8[wash] / BTC_UNIT) / supply))
-
-
 @dataclass(frozen=True)
 class QuartileLabel:
     day: int  # epoch of UTC midnight
@@ -646,27 +586,25 @@ def build_asset_bars(aux: AuxSeries, window: TimeWindow, label: str) -> AssetBar
     if aux.kind != "asset_bar":
         raise DataError(f"expected asset_bar aux series, got {aux.kind!r}")
     n = -((window.start - window.end) // BAR_SECONDS)
+    inside = (aux.ts >= window.start) & (aux.ts < window.end)
+    slot = (aux.ts[inside] - window.start) // BAR_SECONDS
+    tick = bin_sums(slot, aux.values["tick"][inside], n)
+    volume = bin_sums(slot, aux.values["volume"][inside], n)
     close = np.zeros(n)
-    tick = np.zeros(n)
-    volume = np.zeros(n)
-    open_mask = np.zeros(n, dtype=bool)
-    for p in aux.points:
-        if not window.contains(p.ts):
-            continue
-        i = (p.ts - window.start) // BAR_SECONDS
-        close[i] = p.values["close"]
-        tick[i] += p.values.get("tick", 0.0)
-        volume[i] += p.values.get("volume", 0.0)
-        open_mask[i] = True
+    last = last_of_runs(slot)  # ts is sorted, so this is the slot's last point
+    close[slot[last]] = aux.values["close"][inside][last]
+    open_mask = np.bincount(slot, minlength=n) > 0
 
     activity_source = "tick" if np.any(tick != 0.0) else "volume"
     activity = tick if activity_source == "tick" else volume
 
-    # Bar-level measures over consecutive open slots.
+    # Bar-level measures over consecutive open slots. math.log, not np.log:
+    # numpy's SIMD log differs from it in the last bit on some values.
+    opened = np.flatnonzero(open_mask)
     liq = np.zeros(n)
     vol = np.zeros(n)
     prev_close = None
-    for i in np.flatnonzero(open_mask):
+    for i in opened.tolist():
         if prev_close is not None and prev_close > 0.0 and close[i] > 0.0:
             r = math.log(close[i] / prev_close)
             vol[i] = r * r
@@ -676,11 +614,9 @@ def build_asset_bars(aux: AuxSeries, window: TimeWindow, label: str) -> AssetBar
 
     def pct_open(values: np.ndarray) -> np.ndarray:
         out = np.zeros(n)
-        prev = None
-        for i in np.flatnonzero(open_mask):
-            if prev is not None and prev != 0.0:
-                out[i] = 100.0 * (values[i] - prev) / prev
-            prev = values[i]
+        now, before = values[opened[1:]], values[opened[:-1]]
+        nz = before != 0.0
+        out[opened[1:][nz]] = 100.0 * (now[nz] - before[nz]) / before[nz]
         return out
 
     starts = window.start + BAR_SECONDS * np.arange(n, dtype=np.int64)

@@ -443,22 +443,18 @@ def write_canonical_csv(
     return len(ts)
 
 
-@dataclass(slots=True)
-class AuxPoint:
-    ts: int
-    values: dict
-
-
 @dataclass
 class AuxSeries:
-    """A timestamped auxiliary series; points strictly increasing in time."""
+    """A timestamped auxiliary series: an int64 `ts` column, strictly increasing,
+    and in `values` one float64 column per value name (see `parse_aux`)."""
 
     kind: str
-    points: list[AuxPoint]
+    ts: np.ndarray
+    values: dict[str, np.ndarray]
     row_errors: list[tuple[int, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ts)
 
 
 _AUX_SCHEMAS = {
@@ -473,10 +469,12 @@ _AUX_SCHEMAS = {
 def parse_aux(source: Source, kind: str) -> AuxSeries:
     """Parse an auxiliary CSV of the given kind.
 
-    onchain rows aggregate per timestamp into {"input": sum, "output": sum}.
-    Daily kinds (market_daily, supply, trends) must be strictly increasing;
-    a duplicated or out-of-order date is fatal. asset_bar duplicates keep the
-    later row (a warning is logged). Malformed rows are skipped and collected.
+    The value columns are "input" and "output" for onchain (sums per
+    timestamp), "close", "tick" and "volume" for asset_bar, and "volume_btc",
+    "supply" or "score" for the daily kinds market_daily, supply or trends.
+    Daily kinds must be strictly increasing; a duplicated or out-of-order date
+    is fatal. asset_bar duplicates keep the later row (a warning is logged).
+    Malformed rows are skipped and collected.
     """
     if kind not in _AUX_SCHEMAS:
         raise SchemaError(f"unknown aux kind {kind!r}; expected one of {sorted(_AUX_SCHEMAS)}")
@@ -508,8 +506,7 @@ def parse_aux(source: Source, kind: str) -> AuxSeries:
                 rows.append(_parse_aux_row(kind, vals))
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
-        points = _assemble_aux(kind, rows)
-        return AuxSeries(kind, points, errors)
+        return AuxSeries(kind, *_assemble_aux(kind, rows), errors)
     finally:
         if should_close:
             fh.close()
@@ -524,7 +521,7 @@ def _parse_aux_row(kind: str, vals: list[str]) -> tuple:
         amount = float(vals[4])
         if not (amount >= 0.0 and math.isfinite(amount)):
             raise ValueError(f"bad amount {vals[4]!r}")
-        return (ts, direction, amount)
+        return (ts, direction == "output", amount)
     if kind == "asset_bar":
         ts = parse_ts(vals[0])
         close = float(vals[1])
@@ -543,30 +540,38 @@ def _parse_aux_row(kind: str, vals: list[str]) -> tuple:
     return (ts, value)
 
 
-def _assemble_aux(kind: str, rows: list[tuple]) -> list[AuxPoint]:
-    if kind == "onchain":
-        agg: dict[int, dict] = {}
-        for ts, direction, amount in rows:
-            slot = agg.setdefault(ts, {"input": 0.0, "output": 0.0})
-            slot[direction] += amount
-        return [AuxPoint(ts, agg[ts]) for ts in sorted(agg)]
-    if kind == "asset_bar":
-        agg2: dict[int, AuxPoint] = {}
-        for ts, close, tick, volume in rows:
-            if ts in agg2:
-                log.warning("asset_bar: duplicate timestamp %s, keeping later row", fmt_ts(ts))
-            agg2[ts] = AuxPoint(ts, {"close": close, "tick": tick, "volume": volume})
-        return [agg2[ts] for ts in sorted(agg2)]
+def bin_sums(slot: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """float64 sums of `weights` into `n` slots, each slot added in index order."""
+    return np.bincount(slot, weights, minlength=n).astype(np.float64, copy=False)
 
+
+def last_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the last element of each run of equal adjacent keys."""
+    return np.append(keys[1:] != keys[:-1], True)[: len(keys)]
+
+
+def _assemble_aux(kind: str, rows: list[tuple]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    columns = list(zip(*rows)) or [()] * 4  # no rows: empty columns, as many as asset_bar's
+    ts = np.array(columns[0], dtype=np.int64)
+    if kind == "onchain":
+        ts, slot = np.unique(ts, return_inverse=True)
+        output = np.array(columns[1], dtype=bool)
+        amount = np.array(columns[2], dtype=np.float64)
+        sides = (("input", ~output), ("output", output))
+        return ts, {name: bin_sums(slot[side], amount[side], len(ts)) for name, side in sides}
+    values = [np.array(c, dtype=np.float64) for c in columns[1:]]
+    if kind == "asset_bar":
+        order = np.argsort(ts, kind="stable")
+        keep = order[last_of_runs(ts[order])]
+        if len(keep) < len(ts):
+            log.warning("asset_bar: %d duplicate timestamps, kept later rows", len(ts) - len(keep))
+        return ts[keep], {name: v[keep] for name, v in zip(("close", "tick", "volume"), values)}
+    bad = np.flatnonzero(np.diff(ts) <= 0)
+    if len(bad):
+        i = int(bad[0])
+        raise DataError(
+            f"aux {kind!r}: dates must be strictly increasing, saw {fmt_date(int(ts[i + 1]))} "
+            f"after {fmt_date(int(ts[i]))}"
+        )
     key = {"market_daily": "volume_btc", "supply": "supply", "trends": "score"}[kind]
-    points = []
-    prev = None
-    for ts, value in rows:
-        if prev is not None and ts <= prev:
-            raise DataError(
-                f"aux {kind!r}: dates must be strictly increasing, saw {fmt_date(ts)} "
-                f"after {fmt_date(prev)}"
-            )
-        prev = ts
-        points.append(AuxPoint(ts, {key: value}))
-    return points
+    return ts, {key: values[0]}

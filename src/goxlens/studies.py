@@ -17,7 +17,7 @@ import io
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .features import (
     quartile_map,
     week_start_of,
 )
-from .ingest import DAY, AuxSeries, fmt_date, fmt_ts, parse_date
+from .ingest import DAY, AuxSeries, bin_sums, fmt_date, fmt_ts, last_of_runs, parse_date
 from .ml import (
     build_lagged,
     importance_report,
@@ -168,10 +168,10 @@ def digest_bars(bars: BarSeries) -> str:
 
 
 def digest_aux(aux: AuxSeries) -> str:
-    parts = ["aux", aux.kind]
-    for p in aux.points:
-        parts.append(f"{p.ts}:{sorted(p.values.items())!r}")
-    return content_digest(*parts)
+    names = sorted(aux.values)
+    rows = zip(aux.ts.tolist(), *(aux.values[name].tolist() for name in names))
+    points = (f"{ts}:{list(zip(names, values))!r}" for ts, *values in rows)
+    return content_digest("aux", aux.kind, *points)
 
 
 def digest_labels(labels: Sequence[QuartileLabel]) -> str:
@@ -283,11 +283,39 @@ _BLANK_CELL_NOTE = (
 )
 
 
-def _quartile_of(qmap: Dict[int, int], day: int, what: str) -> int:
+def _quartiles_of(labels: Sequence[QuartileLabel], days: np.ndarray, what: str) -> np.ndarray:
+    qmap = quartile_map(labels)
     try:
-        return qmap[day]
-    except KeyError:
-        raise DataError(f"quartile labels do not cover {what} {fmt_date(day)}") from None
+        return np.array([qmap[day] for day in days.tolist()])
+    except KeyError as e:
+        raise DataError(f"quartile labels do not cover {what} {fmt_date(e.args[0])}") from None
+
+
+def _quartile_table(
+    y: np.ndarray, x: np.ndarray, quartiles: np.ndarray, min_n: int, unit: str,
+    notes: List[str], eg_pvalue: Optional[Callable[[int, np.ndarray, np.ndarray], float]] = None,
+) -> ReportTable:
+    """Per wash-volume quartile, the OLS of y on x with an intercept.
+
+    Rows Q1..Q4 hold the slope, its p-value, the adjusted R² and n, plus
+    `eg_pvalue(q, y, x)` as "eg_pvalue" when that is given. A quartile with
+    fewer than `min_n` rows gets NaN cells and a note.
+    """
+    columns = ["slope", "pvalue", "adj_r2", *(["eg_pvalue"] if eg_pvalue else []), "n"]
+    table = ReportTable("quartiles", columns)
+    for q in (1, 2, 3, 4):
+        mask = quartiles == q
+        n = int(mask.sum())
+        cells = {**dict.fromkeys(columns, float("nan")), "n": n}
+        if n < min_n:
+            notes.append(f"Q{q}: insufficient ({n} {unit}, need {min_n})")
+        else:
+            fit = ols(y[mask], x[mask][:, None])
+            cells.update(slope=fit.params[1], pvalue=fit.pvalues[1], adj_r2=fit.rsquared_adj)
+            if eg_pvalue:
+                cells["eg_pvalue"] = eg_pvalue(q, y[mask], x[mask])
+        table.add(f"Q{q}", cells)
+    return table
 
 
 # --- studies -----------------------------------------------------------------
@@ -431,45 +459,28 @@ def study_onchain(
     if onchain.kind != "onchain":
         raise DataError(f"expected onchain aux series, got {onchain.kind!r}")
     window = bars.window
-    chain = np.zeros(len(bars))
-    skipped = 0
-    for p in onchain.points:
-        if not window.contains(p.ts):
-            skipped += 1
-            continue
-        chain[(p.ts - window.start) // BAR_SECONDS] += p.values["output"]
+    inside = (onchain.ts >= window.start) & (onchain.ts < window.end)
+    if not inside.any():
+        raise DataError("no on-chain points inside the bar window")
+    slot = (onchain.ts[inside] - window.start) // BAR_SECONDS
+    chain = bin_sums(slot, onchain.values["output"][inside], len(bars))
+    days, day_of_bar = bars.days()
+    quartiles = _quartiles_of(labels, days, "bar day")[day_of_bar]
+
+    skipped = len(onchain) - len(slot)
+    notes = [f"{skipped} on-chain points outside the bar window were ignored"] if skipped else []
+
+    def eg_pvalue(q: int, y: np.ndarray, x: np.ndarray) -> float:
+        if len(y) < min_eg_len:
+            notes.append(f"Q{q}: too few bars for the cointegration test ({len(y)})")
+        elif np.ptp(y) == 0.0:
+            notes.append(f"Q{q}: on-chain volume is constant; no cointegration test")
+        else:
+            return engle_granger(y, x).pvalue
+        return float("nan")
 
     nonwash = bars.column("nonwash")
-    qmap = quartile_map(labels)
-    days, day_of_bar = bars.days()
-    day_quartiles = [_quartile_of(qmap, d, "bar day") for d in days.tolist()]
-    quartiles = np.array(day_quartiles)[day_of_bar]
-
-    table = ReportTable("quartiles", ["slope", "pvalue", "adj_r2", "eg_pvalue", "n"])
-    notes: List[str] = []
-    if skipped:
-        notes.append(f"{skipped} on-chain points outside the bar window were ignored")
-    nan = float("nan")
-    for q in (1, 2, 3, 4):
-        mask = quartiles == q
-        n = int(mask.sum())
-        if n < min_bars:
-            table.add(f"Q{q}", {"slope": nan, "pvalue": nan, "adj_r2": nan, "eg_pvalue": nan, "n": n})
-            notes.append(f"Q{q}: insufficient ({n} bars, need {min_bars})")
-            continue
-        fit = ols(chain[mask], nonwash[mask][:, None])
-        cells = {
-            "slope": float(fit.params[1]),
-            "pvalue": float(fit.pvalues[1]),
-            "adj_r2": float(fit.rsquared_adj),
-            "n": n,
-        }
-        if n < min_eg_len:
-            cells["eg_pvalue"] = nan
-            notes.append(f"Q{q}: too few bars for the cointegration test ({n})")
-        else:
-            cells["eg_pvalue"] = engle_granger(chain[mask], nonwash[mask]).pvalue
-        table.add(f"Q{q}", cells)
+    table = _quartile_table(chain, nonwash, quartiles, min_bars, "bars", notes, eg_pvalue)
 
     return StudyReport(
         study="onchain",
@@ -498,50 +509,28 @@ def study_market(
     """
     if market.kind != "market_daily":
         raise DataError(f"expected market_daily aux series, got {market.kind!r}")
-    market_map = {p.ts: p.values["volume_btc"] for p in market.points}
-    joined = [(d, v, market_map[d]) for d, v in daily_nonwash if d in market_map]
-    if not joined:
+    days = np.array([d for d, _ in daily_nonwash], dtype=np.int64)
+    seen = np.isin(days, market.ts)
+    if not seen.any():
         raise DataError("no overlapping days between the daily series")
-    dropped = len(daily_nonwash) - len(joined)
+    days = days[seen]
+    nw = np.array([v for _, v in daily_nonwash], dtype=np.float64)[seen]
+    mkt = market.values["volume_btc"][np.searchsorted(market.ts, days)]
 
-    qmap = quartile_map(labels)
-    days = np.array([d for d, _, _ in joined])
-    nw = np.array([v for _, v, _ in joined])
-    mkt = np.array([m for _, _, m in joined])
-    quartiles = np.array([_quartile_of(qmap, int(d), "day") for d in days])
+    quartiles = _quartiles_of(labels, days, "day")
 
-    table = ReportTable("quartiles", ["slope", "pvalue", "adj_r2", "n"])
-    notes: List[str] = []
-    if dropped:
-        notes.append(f"{dropped} days without a market observation were dropped")
-    nan = float("nan")
-    for q in (1, 2, 3, 4):
-        mask = quartiles == q
-        n = int(mask.sum())
-        if n < min_days:
-            table.add(f"Q{q}", {"slope": nan, "pvalue": nan, "adj_r2": nan, "n": n})
-            notes.append(f"Q{q}: insufficient ({n} days, need {min_days})")
-            continue
-        fit = ols(mkt[mask], nw[mask][:, None])
-        table.add(
-            f"Q{q}",
-            {
-                "slope": float(fit.params[1]),
-                "pvalue": float(fit.pvalues[1]),
-                "adj_r2": float(fit.rsquared_adj),
-                "n": n,
-            },
-        )
+    dropped = len(seen) - len(days)
+    notes = [f"{dropped} days without a market observation were dropped"] if dropped else []
+    table = _quartile_table(mkt, nw, quartiles, min_days, "days", notes)
 
     share_table = ReportTable("exchange_share", ["pct"])
-    finite: List[float] = []
-    for d, v, m in joined:
-        denom = v + m
-        share = 100.0 * v / denom if denom > 0 else nan
-        if share == share:
-            finite.append(share)
-        share_table.add(fmt_date(d), {"pct": share})
-    share_table.add("mean", {"pct": sum(finite) / len(finite) if finite else nan})
+    denom = nw + mkt
+    share = np.divide(100.0 * nw, denom, out=np.full(len(nw), np.nan), where=denom > 0)
+    for d, pct in zip(days.tolist(), share.tolist()):
+        share_table.add(fmt_date(d), {"pct": pct})
+    finite = share[~np.isnan(share)].tolist()
+    # Python's left-to-right sum: np.mean adds pairwise, which can move the last bit
+    share_table.add("mean", {"pct": sum(finite) / len(finite) if finite else np.nan})
 
     return StudyReport(
         study="market",
@@ -620,15 +609,13 @@ def study_media(
         raise DataError(f"expected trends aux series, got {trends.kind!r}")
     if not weekly:
         raise DataError("no weeks to analyze")
-    tmap: Dict[int, float] = {}
-    for p in trends.points:
-        tmap[week_start_of(p.ts)] = p.values["score"]
-    scores = []
-    for wk in weekly:
-        if wk.week_start not in tmap:
-            raise DataError(f"no trend score for week {fmt_date(wk.week_start)}")
-        scores.append(tmap[wk.week_start])
-    scores = np.array(scores)
+    weeks = week_start_of(trends.ts)
+    last = last_of_runs(weeks)  # ts is sorted: the week's last score wins
+    wanted = np.array([wk.week_start for wk in weekly], dtype=np.int64)
+    missing = wanted[~np.isin(wanted, weeks)]
+    if len(missing):
+        raise DataError(f"no trend score for week {fmt_date(int(missing[0]))}")
+    scores = trends.values["score"][last][np.searchsorted(weeks[last], wanted)]
     if scores.max() == scores.min():
         raise AnalysisAbort("trend scores are constant; median split impossible")
     median = float(np.median(scores))

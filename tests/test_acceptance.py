@@ -371,7 +371,8 @@ def test_criterion_13_leaked_dataset_reproduction():
 
     from goxlens.features import daily_sums
 
-    supply = {p.ts: p.values["supply"] for p in parse_aux(supply_csv, "supply").points}
+    supply_aux = parse_aux(supply_csv, "supply")
+    supply = dict(zip(supply_aux.ts.tolist(), supply_aux.values["supply"].tolist()))
     shares = [
         100.0 * wash / supply[day]
         for day, wash in daily_sums(bars, "wash")
@@ -380,7 +381,8 @@ def test_criterion_13_leaked_dataset_reproduction():
     cap_share = float(np.mean(shares))
     cap_ok = 6.5e-5 / 2 <= cap_share <= 6.5e-5 * 2
 
-    market = {p.ts: p.values["volume_btc"] for p in parse_aux(market_csv, "market_daily").points}
+    market_aux = parse_aux(market_csv, "market_daily")
+    market = dict(zip(market_aux.ts.tolist(), market_aux.values["volume_btc"].tolist()))
     ex_shares = [
         100.0 * total / market[day]
         for day, total in daily_sums(bars, "total")

@@ -322,6 +322,38 @@ def test_analyze_onchain_requires_exactly_one_aux(noise_bars_csv, tmp_path, caps
     assert "exactly one --aux onchain=path" in capsys.readouterr().err
 
 
+ONCHAIN_HEADER = "timestamp,transaction_id,address,type,amount"
+
+
+def test_analyze_notes_malformed_aux_rows(noise_bars_csv, tmp_path):
+    rng = np.random.default_rng(4)
+    lines = [ONCHAIN_HEADER, f"{fmt_ts(MONDAY)},bad,addr,output,lots"]
+    for i in range(672):
+        lines.append(f"{fmt_ts(MONDAY + 1800 * i)},tx{i},addr,output,{rng.random() * 50:.4f}")
+    lines.append(f"{fmt_ts(MONDAY)},short,addr")
+    chain = tmp_path / "chain.csv"
+    chain.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    args = ["analyze", "onchain", "--bars", str(noise_bars_csv), "--out", str(out)]
+    assert run(*args, "--aux", f"onchain={chain}") == 0
+    notes = json.loads((out / "report.json").read_text())["notes"]
+    assert notes[-1] == (
+        "onchain: 2 malformed rows skipped; "
+        "first at line 2: could not convert string to float: 'lots'"
+    )
+
+
+def test_analyze_onchain_with_no_point_in_window_exits_2(noise_bars_csv, tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_text(ONCHAIN_HEADER + "\n")
+    code = run(
+        "analyze", "onchain", "--bars", str(noise_bars_csv),
+        "--aux", f"onchain={chain}", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "no on-chain points inside the bar window" in capsys.readouterr().err
+
+
 def test_analyze_rejects_malformed_aux_flag(noise_bars_csv, tmp_path, capsys):
     code = run(
         "analyze", "onchain",

@@ -118,6 +118,14 @@ def test_eg_length_mismatch():
         engle_granger(np.ones(50), np.ones(49))
 
 
+def test_eg_rejects_a_constant_series():
+    walk = np.cumsum(np.random.default_rng(3).standard_normal(100))
+    with pytest.raises(DataError, match="constant y series"):
+        engle_granger(np.full(100, 3.0), walk)
+    with pytest.raises(DataError, match="constant x series"):
+        engle_granger(walk, np.full(100, 3.0))
+
+
 # --- generator properties used by the tests above ----------------------------
 
 

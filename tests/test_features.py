@@ -24,8 +24,6 @@ from goxlens.features import (
     daily_quartiles,
     daily_sums,
     filter_stationary_weeks,
-    interpolate_supply,
-    marketcap_share,
     quartile_map,
     realized_vol,
     week_start_of,
@@ -332,45 +330,6 @@ def test_slice_alignment():
     assert sub.column("wash")[0] == 48.0
     with pytest.raises(DataError):
         bars.slice(TimeWindow.from_dates("2012-02-01", "2012-02-02"))
-
-
-# --- supply and market cap ---------------------------------------------------
-
-
-def _curve():
-    day0 = parse_date("2012-01-01")
-    return interpolate_supply([(day0, 8_000_000.0), (day0 + 10 * DAY, 8_100_000.0)])
-
-
-def test_supply_midpoint():
-    day5 = parse_date("2012-01-06")
-    assert _curve().at(day5) == pytest.approx(8_050_000.0)
-    # intraday timestamps resolve to the day's value
-    assert _curve().at(day5 + 7 * 3600) == pytest.approx(8_050_000.0)
-
-
-def test_supply_from_aux_series():
-    text = "date,circulating_supply\n2012-01-01,8000000\n2012-01-11,8100000\n"
-    curve = interpolate_supply(parse_aux(io.StringIO(text), "supply"))
-    assert curve.at(parse_date("2012-01-06")) == pytest.approx(8_050_000.0)
-
-
-def test_supply_rejects_decreasing():
-    day0 = parse_date("2012-01-01")
-    with pytest.raises(DataError):
-        interpolate_supply([(day0, 100.0), (day0 + DAY, 99.0)])
-
-
-def test_marketcap_share_hand_value():
-    rows = halves("9", "9", "w", "2012-01-06 09:00:00", 80.5, 805.0)
-    fl = flagged_from(rows, D0, "2012-01-10")
-    assert marketcap_share(fl, _curve()) == pytest.approx(1e-3, rel=1e-12)
-
-
-def test_marketcap_share_no_wash_is_nan():
-    rows = halves("1", "2", "a", "2012-01-06 09:00:00", 1.0, 10.0)
-    fl = flagged_from(rows, D0, "2012-01-10")
-    assert math.isnan(marketcap_share(fl, _curve()))
 
 
 # --- daily quartiles ---------------------------------------------------------

@@ -143,7 +143,7 @@ def test_parse_date_fields_at_their_bounds():
 def test_bad_dates_become_daily_aux_row_errors():
     lines = ["date,volume_btc", "2012-01-01,100"] + [f"{d},5" for d in BAD_DATES]
     aux = parse_aux(io.StringIO("\n".join(lines) + "\n"), "market_daily")
-    assert [p.ts for p in aux.points] == [parse_date("2012-01-01")]
+    assert aux.ts.tolist() == [parse_date("2012-01-01")]
     assert [line for line, _ in aux.row_errors] == list(range(3, 3 + len(BAD_DATES)))
     assert all("bad date" in reason for _, reason in aux.row_errors)
 
@@ -343,10 +343,9 @@ def test_onchain_row_parses():
         "2011-10-06 11:55:30,42101c,15wNVu5eEynhJmitToi,output,50.0385001\n"
     )
     aux = parse_aux(io.StringIO(text), "onchain")
-    (p,) = aux.points
-    assert p.ts == parse_ts("2011-10-06 11:55:30")
-    assert p.values["output"] == pytest.approx(50.0385001)
-    assert p.values["input"] == 0.0
+    assert aux.ts.tolist() == [parse_ts("2011-10-06 11:55:30")]
+    assert aux.values["output"].tolist() == [pytest.approx(50.0385001)]
+    assert aux.values["input"].tolist() == [0.0]
 
 
 def test_onchain_equal_timestamps_sum():
@@ -356,9 +355,9 @@ def test_onchain_equal_timestamps_sum():
         kind = "output" if i % 2 == 0 else "input"
         lines.append(f"2011-10-06 11:55:30,tx{i},addr{i},{kind},{a}")
     aux = parse_aux(io.StringIO("\n".join(lines) + "\n"), "onchain")
-    (p,) = aux.points
-    assert p.values["output"] == pytest.approx(sum(amounts[0::2]))  # hand-summed
-    assert p.values["input"] == pytest.approx(sum(amounts[1::2]))
+    assert len(aux) == 1
+    assert aux.values["output"][0] == pytest.approx(sum(amounts[0::2]))  # hand-summed
+    assert aux.values["input"][0] == pytest.approx(sum(amounts[1::2]))
 
 
 def test_onchain_unknown_direction_is_row_error():
@@ -368,7 +367,7 @@ def test_onchain_unknown_direction_is_row_error():
         "2011-10-06 11:55:31,tx2,addr,input,2.0\n"
     )
     aux = parse_aux(io.StringIO(text), "onchain")
-    assert len(aux.points) == 1
+    assert len(aux) == 1
     assert len(aux.row_errors) == 1
 
 
@@ -407,7 +406,7 @@ def test_amount_past_int64_is_a_row_error():
 def test_supply_single_row():
     aux = parse_aux(io.StringIO("date,circulating_supply\n2012-01-01,8000000\n"), "supply")
     assert len(aux) == 1
-    assert aux.points[0].values["supply"] == 8000000.0
+    assert aux.values["supply"].tolist() == [8000000.0]
 
 
 def test_daily_series_must_be_monotone():
@@ -423,9 +422,9 @@ def test_asset_bar_duplicate_timestamp_later_wins():
         "2012-01-01 00:00:00,11.0,6,\n"
     )
     aux = parse_aux(io.StringIO(text), "asset_bar")
-    (p,) = aux.points
-    assert p.values["close"] == 11.0
-    assert p.values["tick"] == 6.0
+    assert len(aux) == 1
+    assert aux.values["close"].tolist() == [11.0]
+    assert aux.values["tick"].tolist() == [6.0]
 
 
 def test_aux_unknown_kind():
@@ -436,5 +435,23 @@ def test_aux_unknown_kind():
 def test_aux_value_arrays():
     text = "date,volume_btc\n2012-01-01,100\n2012-01-02,250.5\n"
     aux = parse_aux(io.StringIO(text), "market_daily")
-    assert [p.ts for p in aux.points] == [parse_date("2012-01-01"), parse_date("2012-01-02")]
-    assert [p.values["volume_btc"] for p in aux.points] == [100.0, 250.5]
+    assert aux.ts.tolist() == [parse_date("2012-01-01"), parse_date("2012-01-02")]
+    assert aux.values["volume_btc"].tolist() == [100.0, 250.5]
+    assert aux.ts.dtype == np.int64 and aux.values["volume_btc"].dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "kind, header",
+    [
+        ("onchain", "timestamp,transaction_id,address,type,amount"),
+        ("market_daily", "date,volume_btc"),
+        ("supply", "date,circulating_supply"),
+        ("trends", "week_start,score"),
+        ("asset_bar", "timestamp,close,tick,volume"),
+    ],
+)
+def test_header_only_aux_file_is_empty(kind, header):
+    aux = parse_aux(io.StringIO(header + "\n"), kind)
+    assert len(aux) == 0 and aux.ts.dtype == np.int64
+    assert aux.row_errors == []
+    assert all(len(v) == 0 and v.dtype == np.float64 for v in aux.values.values())

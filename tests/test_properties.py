@@ -9,10 +9,14 @@ the parser accepts. On random half-row ledgers (unpaired ids, non-USD rows,
 ids seen three times) the dedup counts must match a brute-force recount. On
 random bar frames, the column-at-a-time bars.csv reader and the row parser
 must agree: the same frame and digest from canonical and respelled text, and
-the same error from a row broken in one cell.
+the same error from a row broken in one cell. Aux series held as columns must
+give what the per-point code gave: the same input digest on random series of
+every kind, the same on-chain sums per timestamp, the same on-chain bar bins
+and the same asset bars.
 """
 
 import io
+import math
 from contextlib import nullcontext
 from unittest import mock
 
@@ -21,16 +25,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goxlens import features
+from goxlens import features, studies
 from goxlens.detect import TimeWindow, flag_wash
 from goxlens.errors import DataError, PairingError
-from goxlens.features import BAR_SECONDS, STUDY_SERIES, BarSeries, build_bars, daily_sums
+from goxlens.features import (
+    ASSET_COLUMNS,
+    BAR_SECONDS,
+    STUDY_SERIES,
+    BarSeries,
+    QuartileLabel,
+    build_asset_bars,
+    build_bars,
+    content_digest,
+    daily_sums,
+)
 from goxlens.ingest import (
     BTC_DECIMALS,
     DAY,
+    FIRST_TS,
+    LAST_TS,
     MONEY_DECIMALS,
+    AuxSeries,
     fmt_ts,
     format_fixed,
+    parse_aux,
     parse_date,
     parse_scaled,
     parse_ts,
@@ -402,3 +420,177 @@ def test_broken_bars_row_fails_alike_on_both_paths(spec, data):
         return
     assert bulk == rows
     assert rows.startswith(f"bars line {i + 1}: ") or rows.startswith("bar grid broken")
+
+
+# --- aux series as columns ---------------------------------------------------
+
+AUX_NAMES = {
+    "onchain": ("input", "output"),
+    "asset_bar": ("close", "tick", "volume"),
+    "market_daily": ("volume_btc",),
+    "supply": ("supply",),
+    "trends": ("score",),
+}
+aux_value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0]))
+amount = st.one_of(st.floats(0.0, 1e12), st.integers(0, 10**8).map(lambda k: k / 1e4), st.just(-0.0))
+
+
+def _reference_digest(kind, points):
+    """digest_aux over per-point (ts, values dict) records, as it was written for them."""
+    parts = ["aux", kind]
+    for ts, values in points:
+        parts.append(f"{ts}:{sorted(values.items())!r}")
+    return content_digest(*parts)
+
+
+def _columns(kind, points) -> AuxSeries:
+    ts = np.array([t for t, _ in points], dtype=np.int64)
+    # columns in reverse name order: the digest must not follow the dict's order
+    names = AUX_NAMES[kind][::-1]
+    values = {n: np.array([v[n] for _, v in points], dtype=np.float64) for n in names}
+    return AuxSeries(kind, ts, values)
+
+
+def _points(stamps, data, names, value):
+    return [(t, {n: data.draw(value, label=n) for n in names}) for t in sorted(stamps)]
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(AUX_NAMES)),
+    st.lists(st.integers(FIRST_TS, LAST_TS), unique=True, max_size=20),
+    st.data(),
+)
+def test_aux_digest_matches_the_per_point_digest(kind, stamps, data):
+    points = _points(stamps, data, AUX_NAMES[kind], aux_value)
+    assert studies.digest_aux(_columns(kind, points)) == _reference_digest(kind, points)
+
+
+def test_aux_digest_is_pinned():
+    text = (
+        "timestamp,transaction_id,address,type,amount\n"
+        "2012-01-01 00:00:05,t1,a,output,1.5\n"
+        "2012-01-01 00:00:05,t2,b,input,0.1\n"
+        "2012-01-01 00:00:05,t3,c,input,0.2\n"
+        "2012-01-01 00:40:00,t4,d,output,3\n"
+    )
+    aux = parse_aux(io.StringIO(text), "onchain")
+    assert aux.values["input"].tolist() == [0.1 + 0.2, 0.0]
+    assert studies.digest_aux(aux) == (
+        "77c22b72e8a2f19473fe4eda30ae154ee53fe4f29e0389b8c39addb91f87ee10"
+    )
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 5), st.booleans(), amount), max_size=40))
+def test_onchain_parse_sums_like_the_per_point_loop(rows):
+    lines = ["timestamp,transaction_id,address,type,amount"]
+    agg = {}
+    for i, (k, output, value) in enumerate(rows):
+        ts = D0 + 7 * k  # few distinct stamps, so most repeat
+        side = "output" if output else "input"
+        lines.append(f"{fmt_ts(ts)},tx{i},addr,{side.upper() if i % 3 else side},{value!r}")
+        agg.setdefault(ts, {"input": 0.0, "output": 0.0})[side] += value
+    aux = parse_aux(io.StringIO("\n".join(lines) + "\n"), "onchain")
+    points = [(ts, agg[ts]) for ts in sorted(agg)]
+    assert aux.row_errors == []
+    assert aux.ts.dtype == np.int64 and aux.ts.tolist() == [ts for ts, _ in points]
+    for name in ("input", "output"):
+        assert aux.values[name].dtype == np.float64
+        assert aux.values[name].tolist() == [values[name] for _, values in points]
+    assert studies.digest_aux(aux) == _reference_digest("onchain", points)
+
+
+def _reference_chain(points, window, n):
+    chain = np.zeros(n)
+    skipped = 0
+    for ts, values in points:
+        if not window.contains(ts):
+            skipped += 1
+            continue
+        chain[(ts - window.start) // BAR_SECONDS] += values["output"]
+    return chain, skipped
+
+
+# offsets from 3 bars before a two-day window to 4 bars past it, as bar and second in
+# bar; the bars next to the window's edges and its day boundary come up often
+bar_index = st.one_of(st.sampled_from([-1, 0, 47, 48, 95, 96]), st.integers(-3, 99))
+aux_stamps = st.lists(
+    st.builds(lambda bar, s: bar * BAR_SECONDS + s, bar_index, st.integers(0, 1799)),
+    unique=True,
+    max_size=40,
+)
+
+
+@PROPERTY
+@given(aux_stamps, st.data())
+def test_onchain_binning_matches_the_per_point_loop(offsets, data):
+    bars = bars_from_arrays(np.zeros(96), nonwash=np.arange(96.0), t0=D0)
+    labels = [QuartileLabel(D0, 1), QuartileLabel(D0 + DAY, 2)]
+    points = _points([D0 + t for t in offsets], data, AUX_NAMES["onchain"], amount)
+    chain, skipped = _reference_chain(points, bars.window, len(bars))
+    onchain = _columns("onchain", points)
+    # min_bars past the frame: every quartile is insufficient, so no fit runs
+    with mock.patch.object(studies, "_quartile_table", wraps=studies._quartile_table) as table:
+        if skipped == len(points):
+            with pytest.raises(DataError, match="no on-chain points inside the bar window"):
+                studies.study_onchain(bars, onchain, labels, min_bars=10**6)
+            return
+        rep = studies.study_onchain(bars, onchain, labels, min_bars=10**6)
+    assert table.call_args.args[0].tobytes() == chain.tobytes()
+    note = f"{skipped} on-chain points outside the bar window were ignored"
+    assert (note in rep.notes) == (skipped > 0)
+
+
+def _reference_asset_bars(points, window):
+    """build_asset_bars over per-point records, one point at a time."""
+    n = -((window.start - window.end) // BAR_SECONDS)
+    close, tick, volume = np.zeros(n), np.zeros(n), np.zeros(n)
+    open_mask = np.zeros(n, dtype=bool)
+    for ts, values in points:
+        if not window.contains(ts):
+            continue
+        i = (ts - window.start) // BAR_SECONDS
+        close[i] = values["close"]
+        tick[i] += values["tick"]
+        volume[i] += values["volume"]
+        open_mask[i] = True
+    source = "tick" if np.any(tick != 0.0) else "volume"
+    activity = tick if source == "tick" else volume
+    liq, vol = np.zeros(n), np.zeros(n)
+    prev_close = None
+    for i in np.flatnonzero(open_mask):
+        if prev_close is not None and prev_close > 0.0 and close[i] > 0.0:
+            r = math.log(close[i] / prev_close)
+            vol[i] = r * r
+            if activity[i] > 0.0:
+                liq[i] = abs(r) / activity[i]
+        prev_close = close[i]
+
+    def pct_open(values):
+        out = np.zeros(n)
+        prev = None
+        for i in np.flatnonzero(open_mask):
+            if prev is not None and prev != 0.0:
+                out[i] = 100.0 * (values[i] - prev) / prev
+            prev = values[i]
+        return out
+
+    columns = dict(zip(ASSET_COLUMNS, map(pct_open, (close, liq, vol, activity))))
+    return open_mask, columns, source
+
+
+@PROPERTY
+@given(aux_stamps, st.booleans(), st.data())
+def test_asset_bars_match_the_per_point_loop(offsets, no_ticks, data):
+    window = TimeWindow(D0, D0 + 96 * BAR_SECONDS)
+    measure = st.one_of(st.just(0.0), st.floats(0.01, 1e4))
+    points = _points([D0 + t for t in offsets], data, AUX_NAMES["asset_bar"], measure)
+    if no_ticks:
+        points = [(ts, dict(values, tick=0.0)) for ts, values in points]
+    got = build_asset_bars(_columns("asset_bar", points), window, "x")
+    open_mask, columns, source = _reference_asset_bars(points, window)
+    assert got.open_mask.tobytes() == open_mask.tobytes()
+    assert got.activity_source == source
+    for name in ASSET_COLUMNS:
+        assert got.columns[name].tobytes() == columns[name].tobytes(), name

@@ -16,7 +16,7 @@ from goxlens.features import (
     QuartileLabel,
     WeeklyBucket,
 )
-from goxlens.ingest import DAY, AuxPoint, AuxSeries
+from goxlens.ingest import DAY, AuxSeries
 from goxlens.studies import (
     DEFAULT_EVENT_TS,
     EventConfig,
@@ -194,8 +194,7 @@ def _onchain_setup(seed, planted=True, n_days=8):
     if planted:
         q4 = quartiles == 4
         chain[q4] = 2.0 * nw[q4] + 5.0 * rng.standard_normal(int(q4.sum()))
-    points = [AuxPoint(ts, {"output": c}) for ts, c in zip(bars.start.tolist(), chain.tolist())]
-    return bars, AuxSeries("onchain", points), labels
+    return bars, AuxSeries("onchain", bars.start.copy(), {"output": chain}), labels
 
 
 def test_onchain_planted_quartile_recovers_slope():
@@ -238,14 +237,29 @@ def test_onchain_thin_quartile_marked_insufficient():
 def test_onchain_input_validation():
     bars, chain, labels = _onchain_setup(3)
     with pytest.raises(DataError):
-        study_onchain(bars, AuxSeries("trends", chain.points), labels)
+        study_onchain(bars, AuxSeries("trends", chain.ts, chain.values), labels)
     with pytest.raises(DataError):
         study_onchain(bars, chain, labels[:2])  # labels stop covering bar days
     outside = AuxSeries(
-        "onchain", chain.points + [AuxPoint(MONDAY - DAY, {"output": 1.0})]
+        "onchain",
+        np.append(MONDAY - DAY, chain.ts),
+        {"output": np.append(1.0, chain.values["output"])},
     )
     rep = study_onchain(bars, outside, labels)
     assert any("outside the bar window" in note for note in rep.notes)
+    before = AuxSeries("onchain", chain.ts[:1] - 8 * DAY, {"output": np.ones(1)})
+    with pytest.raises(DataError, match="no on-chain points inside the bar window"):
+        study_onchain(bars, before, labels)
+
+
+def test_onchain_constant_quartile_gets_no_cointegration_test():
+    bars, chain, labels = _onchain_setup(5)
+    chain.values["output"][:96] = 0.0  # the two Q1 days see no settlement
+    rep = study_onchain(bars, chain, labels)
+    rows = dict(rep.tables["quartiles"].rows)
+    assert rows["Q1"]["eg_pvalue"] != rows["Q1"]["eg_pvalue"]  # nan
+    assert "Q1: on-chain volume is constant; no cointegration test" in rep.notes
+    assert all(rows[q]["eg_pvalue"] == rows[q]["eg_pvalue"] for q in ("Q2", "Q3", "Q4"))
 
 
 # --- market ---------------------------------------------------------------
@@ -268,8 +282,7 @@ def _market_setup(seed=0, n_days=120, slope_by_quartile=None):
             ]
         )
     market = AuxSeries(
-        "market_daily",
-        [AuxPoint(d, {"volume_btc": float(v)}) for d, v in zip(days, market_vals)],
+        "market_daily", np.array(days), {"volume_btc": np.asarray(market_vals, dtype=float)}
     )
     return list(zip(days, nw)), market, labels
 
@@ -300,7 +313,9 @@ def test_market_planted_slopes_are_monotone():
 def test_market_share_and_join_bookkeeping():
     daily, market, labels = _market_setup(seed=2)
     # one ledger day has no market observation: dropped with a note
-    short_market = AuxSeries("market_daily", market.points[:-1])
+    short_market = AuxSeries(
+        "market_daily", market.ts[:-1], {"volume_btc": market.values["volume_btc"][:-1]}
+    )
     rep = study_market(daily, short_market, labels)
     assert any("1 days without a market observation" in n for n in rep.notes)
     assert dict(rep.tables["quartiles"].rows)["Q4"]["n"] == 29
@@ -309,14 +324,14 @@ def test_market_share_and_join_bookkeeping():
     d0 = MONDAY - MONDAY % DAY
     one = study_market(
         [(d0, 1.0)],
-        AuxSeries("market_daily", [AuxPoint(d0, {"volume_btc": 3.0})]),
+        AuxSeries("market_daily", np.array([d0]), {"volume_btc": np.array([3.0])}),
         [QuartileLabel(d0, 1)],
     )
     assert one.tables["exchange_share"].rows[0][1]["pct"] == 25.0
     assert any(note.startswith("Q1: insufficient") for note in one.notes)
 
     with pytest.raises(DataError):
-        study_market(daily, AuxSeries("trends", market.points), labels)
+        study_market(daily, AuxSeries("trends", market.ts, market.values), labels)
     with pytest.raises(DataError):
         study_market([(d0 + 500 * DAY, 1.0)], market, labels)  # no overlap
 
@@ -437,11 +452,12 @@ def _weekly_setup(seed=0, n_side=150, a_above=1.0, a_below=0.35, rho_below=0.9):
             )
             scores.append(score)
             w_prev, nw_prev = w, nw
-    trends = AuxSeries(
-        "trends",
-        [AuxPoint(wk.week_start, {"score": s}) for wk, s in zip(weeks, scores)],
-    )
-    return weeks, trends
+    return weeks, _trends(weeks, scores)
+
+
+def _trends(weeks, scores):
+    starts = np.array([wk.week_start for wk in weeks])
+    return AuxSeries("trends", starts, {"score": np.array(scores, dtype=float)})
 
 
 def test_media_attention_regimes_shape_the_response():
@@ -461,7 +477,7 @@ def test_media_attention_regimes_shape_the_response():
 
 def test_media_constant_trends_abort():
     weeks, _ = _weekly_setup(n_side=15)
-    flat = AuxSeries("trends", [AuxPoint(wk.week_start, {"score": 7.0}) for wk in weeks])
+    flat = _trends(weeks, [7.0] * len(weeks))
     with pytest.raises(AnalysisAbort, match="median split impossible"):
         study_media(weeks, flat)
 
@@ -469,10 +485,7 @@ def test_media_constant_trends_abort():
 def test_media_small_side_skipped_and_order_clamped():
     weeks, _ = _weekly_setup(n_side=20)  # 40 weeks total
     scores = [5.0 if i < 9 else 1.0 for i in range(len(weeks))]
-    trends = AuxSeries(
-        "trends",
-        [AuxPoint(wk.week_start, {"score": s}) for wk, s in zip(weeks, scores)],
-    )
+    trends = _trends(weeks, scores)
     rep = study_media(weeks, trends, var_order=1)
     assert "above" not in rep.tables
     assert "below" in rep.tables
@@ -485,14 +498,28 @@ def test_media_small_side_skipped_and_order_clamped():
     assert any(n == "below: VAR order clamped to 3" for n in rep2.notes)
 
 
+def test_media_last_score_of_a_week_wins():
+    weeks, trends = _weekly_setup(n_side=20)
+    # a zero on each Monday, then the week's real score on its Wednesday
+    doubled = AuxSeries(
+        "trends",
+        np.column_stack([trends.ts, trends.ts + 2 * DAY]).ravel(),
+        {"score": np.column_stack([np.zeros(len(trends)), trends.values["score"]]).ravel()},
+    )
+    plain, mid_week = (study_media(weeks, t, var_order=1) for t in (trends, doubled))
+    assert plain.inputs["trends"] != mid_week.inputs["trends"]
+    plain.inputs, mid_week.inputs = {}, {}
+    assert _serialized(mid_week) == _serialized(plain)
+
+
 def test_media_input_validation():
     weeks, trends = _weekly_setup(n_side=20)
     with pytest.raises(DataError):
-        study_media(weeks, AuxSeries("onchain", trends.points))
+        study_media(weeks, AuxSeries("onchain", trends.ts, trends.values))
     with pytest.raises(DataError):
         study_media([], trends)
     with pytest.raises(DataError, match="no trend score for week"):
-        study_media(weeks, AuxSeries("trends", trends.points[:-1]))
+        study_media(weeks, _trends(weeks[:-1], trends.values["score"][:-1]))
 
 
 # --- event ----------------------------------------------------------------
@@ -595,7 +622,7 @@ def test_cheap_studies_commute_and_do_not_mutate():
     bars, chain, labels = _onchain_setup(4)
     daily, market, mlabels = _market_setup(seed=4)
     before = bars.matrix().copy()
-    chain_before = [(p.ts, dict(p.values)) for p in chain.points]
+    chain_before = (chain.ts.copy(), {k: v.copy() for k, v in chain.values.items()})
 
     first = (_serialized(study_onchain(bars, chain, labels)),
              _serialized(study_market(daily, market, mlabels)))
@@ -604,7 +631,9 @@ def test_cheap_studies_commute_and_do_not_mutate():
     assert first[0] == second[1]
     assert first[1] == second[0]
     np.testing.assert_array_equal(bars.matrix(), before)
-    assert [(p.ts, dict(p.values)) for p in chain.points] == chain_before
+    np.testing.assert_array_equal(chain.ts, chain_before[0])
+    for name, column in chain_before[1].items():
+        np.testing.assert_array_equal(chain.values[name], column)
 
 
 def test_input_digests_track_content():
