@@ -116,24 +116,23 @@ def johansen(data, p: int, names: Optional[Sequence[str]] = None) -> JohansenRes
 
 
 def _check_collinear(data: np.ndarray, names: Sequence[str]) -> None:
-    """Name the offending columns before the eigensolver hits a singular S."""
-    T, k = data.shape
+    """Refuse constant or linearly dependent columns, naming the series.
+
+    On the standardized columns, a singular value below 1e-10 of the largest
+    marks a dependency; its right singular vector names the series in it.
+    """
+    bad = [names[i] for i in np.flatnonzero(~np.isfinite(data).all(axis=0))]
+    if bad:
+        raise DataError(f"series {bad} has non-finite values")
     stds = data.std(axis=0)
-    flat = [names[i] for i in range(k) if stds[i] == 0.0]
+    flat = [names[i] for i in np.flatnonzero(stds == 0.0)]
     if flat:
-        raise SingularityError(f"constant level series: {flat}", columns=flat)
-    if k < 2:
-        return
-    corr = np.corrcoef(data, rowvar=False)
-    dup = [
-        (names[i], names[j])
-        for i in range(k)
-        for j in range(i + 1, k)
-        if abs(corr[i, j]) >= 1.0 - 1e-12
-    ]
-    if dup:
-        cols = sorted({n for pair in dup for n in pair})
-        raise SingularityError(f"collinear level series: {dup}", columns=cols)
+        raise SingularityError(f"constant series: {flat}", columns=flat)
+    _u, s, vt = np.linalg.svd((data - data.mean(axis=0)) / stds, full_matrices=False)
+    null = np.abs(vt[s <= 1e-10 * s[0]])
+    if len(null):
+        cols = [names[i] for i in np.flatnonzero((null > 1e-3).any(axis=0))]
+        raise SingularityError(f"linearly dependent series: {cols}", columns=cols)
 
 
 # MacKinnon (1994) response-surface coefficients, constant case, N = 1..6.

@@ -3,9 +3,10 @@
 Responses use the moving-average recursion Phi[0] = I, Phi[h] = sum A_i
 Phi[h-i]; the orthogonalized response at horizon h is Psi[h] = Phi[h] @ P
 with P the lower-triangular Cholesky factor of Sigma_u under a caller-chosen
-variable ordering. The percent view rescales each response row by the
-variable's mean absolute level; a zero mean level yields IEEE inf/-inf/nan
-sentinels rather than an error.
+variable ordering. A Sigma_u that is not positive definite has no such
+factor and raises SingularityError; it is never regularized. The percent
+view rescales each response row by the variable's mean absolute level; a
+zero mean level yields IEEE inf/-inf/nan sentinels rather than an error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, SingularityError
 from .varmodel import VarModel, spectral_radius
 
 
@@ -31,35 +32,13 @@ class IrfMatrix:
     names: list[str]
     spectral_radius: float
     stable: bool
-    ridge: float  # 0.0 unless the covariance needed regularization
+    ridge: float  # always 0.0: Sigma_u is never regularized (read by clibench's tracer)
 
     def response(self, effect: str, shock: str) -> np.ndarray:
-        j = self.names.index(effect)
-        i = self.names.index(shock)
-        return self.responses[:, j, i]
+        return self.responses[:, self.names.index(effect), self.names.index(shock)]
 
     def percent_response(self, effect: str, shock: str) -> np.ndarray:
-        j = self.names.index(effect)
-        i = self.names.index(shock)
-        return self.percent[:, j, i]
-
-
-def _ordered_cholesky(sigma: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky of sigma under a permutation; ridge on PSD-but-singular input."""
-    sp = sigma[np.ix_(order, order)]
-    eigmin = float(np.linalg.eigvalsh(sp).min())
-    tol = 1e-8 * max(float(np.trace(sp)), 1.0)
-    if eigmin < -tol:
-        raise DataError(f"residual covariance is not positive semidefinite (min eig {eigmin:.3e})")
-    ridge = 0.0
-    try:
-        L = np.linalg.cholesky(sp)
-    except np.linalg.LinAlgError:
-        ridge = 1e-10 * float(np.trace(sp))
-        L = np.linalg.cholesky(sp + ridge * np.eye(len(sp)))
-    inv = np.argsort(order)
-    P = L[np.ix_(inv, inv)]
-    return P, ridge
+        return self.percent[:, self.names.index(effect), self.names.index(shock)]
 
 
 def irf(
@@ -69,7 +48,8 @@ def irf(
 
     `ordering` is the recursive identification order (indices into the
     model's variables); default is the order the variables were fitted in.
-    An unstable model is flagged, not rejected.
+    An unstable model is flagged, not rejected; a Sigma_u that is not
+    positive definite raises SingularityError naming the model's series.
     """
     if horizon < 1:
         raise DataError(f"horizon must be >= 1, got {horizon}")
@@ -78,7 +58,13 @@ def irf(
     if sorted(order.tolist()) != list(range(k)):
         raise DataError(f"ordering must be a permutation of 0..{k - 1}")
 
-    P, ridge = _ordered_cholesky(model.sigma_u, order)
+    try:
+        L = np.linalg.cholesky(model.sigma_u[np.ix_(order, order)])
+    except np.linalg.LinAlgError:
+        msg = f"residual covariance of {list(model.names)} is not positive definite"
+        raise SingularityError(msg, columns=model.names) from None
+    inv = np.argsort(order)
+    P = L[np.ix_(inv, inv)]
 
     phi = np.empty((horizon + 1, k, k))
     phi[0] = np.eye(k)
@@ -102,5 +88,5 @@ def irf(
         names=list(model.names),
         spectral_radius=sr,
         stable=sr < 1.0,
-        ridge=ridge,
+        ridge=0.0,
     )

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import DataError
+from .cointegration import _check_collinear
 from .ols import lstsq
 
 
@@ -42,23 +43,32 @@ def _lag_design(data: np.ndarray, p: int, start: int) -> tuple[np.ndarray, np.nd
     return data[rows], np.hstack(blocks)
 
 
+def max_order(T: int, k: int) -> int:
+    """Largest order leaving k residual degrees of freedom: T - p - k*p - 1 >= k."""
+    return (T - 1 - k) // (k + 1)
+
+
 def var_fit(data, p: int, names: Optional[Sequence[str]] = None) -> VarModel:
-    """Least-squares VAR(p). Needs T - p > k*p + 1 effective rows."""
+    """Least-squares VAR(p), for 1 <= p <= max_order(T, k).
+
+    Series that are constant or linearly dependent would make the lag design
+    and Sigma_u singular; they raise SingularityError naming them.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DataError("VAR data must be 2-d (T, k)")
     T, k = data.shape
     if p < 1:
         raise DataError(f"lag order must be >= 1, got {p}")
-    t_eff = T - p
-    if t_eff <= k * p + 1:
-        raise DataError(
-            f"insufficient observations: T={T}, need T - p > k*p + 1 = {k * p + 1}"
-        )
+    if p > max_order(T, k):
+        raise DataError(f"insufficient observations: T={T} rows of {k} series "
+                        f"support an order of at most {max_order(T, k)}, got {p}")
     if names is None:
         names = [f"y{i}" for i in range(k)]
     elif len(names) != k:
         raise DataError(f"{len(names)} names for {k} variables")
+    _check_collinear(data, names)
+    t_eff = T - p
 
     Y, X = _lag_design(data, p, p)
     B = lstsq(X, Y)[0]

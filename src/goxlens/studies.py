@@ -7,7 +7,9 @@ inputs produce identical bytes once serialized.
 
 Impulse-response table columns are named "<shock>_to_<effect>" and hold the
 percent-convention responses (response scaled by the effect series' mean
-absolute level).
+absolute level). The timing, event and media studies fit their VARs on the
+four free ledger series (LEDGER_VAR_SERIES); total = wash + nonwash is left
+out of every fit, and its responses are derived.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .detect import TimeWindow
 from .econometrics import adf, engle_granger, granger, irf, johansen, ols, var_fit
+from .econometrics.varmodel import max_order
 from .errors import AnalysisAbort, DataError, DegenerateSeriesError, StationarityError
 from .features import (
     ASSET_COLUMNS,
@@ -62,19 +65,10 @@ __all__ = [
 
 DEFAULT_EVENT_TS = parse_date("2012-04-20")
 
-# (shock, effect) pairs, in presentation order
-_TIMING_IRF_PAIRS = (
-    ("wash", "nonwash"),
-    ("nonwash", "wash"),
-    ("wash", "total"),
-    ("total", "wash"),
-)
-_EVENT_IRF_PAIRS = (
-    ("wash", "total"),
-    ("wash", "nonwash"),
-    ("total", "wash"),
-    ("nonwash", "wash"),
-)
+# The series of every ledger VAR and of timing's Johansen test. total is the
+# exact sum of wash and nonwash, so any system holding all three is singular
+# (Lütkepohl 2005, §2.3); it is left out, and its responses are derived.
+LEDGER_VAR_SERIES = ("wash", "nonwash", "liq", "vol")
 
 
 @dataclass
@@ -269,17 +263,46 @@ def _irf_table(name: str, responses: dict, horizons: int) -> ReportTable:
     return table
 
 
-def _pair_responses(irfm, pairs, n: int) -> dict:
-    """Column "<shock>_to_<effect>" for each (shock, effect) pair."""
-    return {
-        f"{shock}_to_{effect}": (irfm.percent_response(effect, shock), n)
-        for shock, effect in pairs
-    }
+def _ledger_irf(name: str, data: np.ndarray, var_order: int, horizons: int,
+                notes: List[str], n: Optional[int] = None) -> ReportTable:
+    """IRF table of a VAR on `data`, whose columns are LEDGER_VAR_SERIES.
+
+    total's response is the sum of the wash and nonwash rows, exact by
+    linearity, in percent of mean |wash + nonwash| over the regression rows.
+    A constant liq or vol is left out and the order is clamped to what the
+    rows support, each with a note, as is the fit. The n row holds `n`
+    (default: the fit's effective rows).
+    """
+    # wash and nonwash stay: every column needs them, and var_fit names them if constant
+    keep = [i for i, s in enumerate(LEDGER_VAR_SERIES) if i < 2 or np.ptp(data[:, i]) != 0]
+    names = [LEDGER_VAR_SERIES[i] for i in keep]
+    notes.extend(f"{name}: {s} is constant; left out of the VAR"
+                 for s in LEDGER_VAR_SERIES if s not in names)
+    data = data[:, keep]
+    # too few rows for order 1: var_fit's error then names the shortfall
+    p = min(var_order, max(1, max_order(*data.shape)))
+    if p != var_order:
+        notes.append(f"{name}: VAR order clamped to {p}")
+    model = var_fit(data, p, names=names)
+    irfm = irf(model, horizons)
+    notes.append(
+        f"{name}: VAR({p}) on {', '.join(names)}; spectral radius "
+        f"{irfm.spectral_radius!r}{'' if irfm.stable else '; unstable'}"
+    )
+    total = np.mean(np.abs(data[p:, 0] + data[p:, 1]))
+    n = model.nobs if n is None else n
+    return _irf_table(name, {
+        "wash_to_nonwash": (irfm.percent_response("nonwash", "wash"), n),
+        "nonwash_to_wash": (irfm.percent_response("wash", "nonwash"), n),
+        "wash_to_total": (100.0 * irfm.responses[:, :2, 0].sum(axis=1) / total, n),
+    }, horizons)
 
 
-_BLANK_CELL_NOTE = (
+_IRF_NOTES = (
     "all h=1 cells are emitted, including the wash-response columns that "
-    "summary layouts sometimes leave blank"
+    "summary layouts sometimes leave blank",
+    "wash_to_total is the wash plus nonwash response; total_to_wash is not reported: "
+    "with wash ordered first, a shock to total is the nonwash shock (nonwash_to_wash)",
 )
 
 
@@ -299,7 +322,7 @@ def _quartile_table(
 
     Rows Q1..Q4 hold the slope, its p-value, the adjusted R² and n, plus
     `eg_pvalue(q, y, x)` as "eg_pvalue" when that is given. A quartile with
-    fewer than `min_n` rows gets NaN cells and a note.
+    fewer than `min_n` rows, or whose y is constant, gets NaN cells and a note.
     """
     columns = ["slope", "pvalue", "adj_r2", *(["eg_pvalue"] if eg_pvalue else []), "n"]
     table = ReportTable("quartiles", columns)
@@ -309,6 +332,8 @@ def _quartile_table(
         cells = {**dict.fromkeys(columns, float("nan")), "n": n}
         if n < min_n:
             notes.append(f"Q{q}: insufficient ({n} {unit}, need {min_n})")
+        elif np.ptp(y[mask]) == 0.0:
+            notes.append(f"Q{q}: response is constant over its {n} {unit}; no fit")
         else:
             fit = ols(y[mask], x[mask][:, None])
             cells.update(slope=fit.params[1], pvalue=fit.pvalues[1], adj_r2=fit.rsquared_adj)
@@ -334,7 +359,7 @@ def study_timing(
     Gates on ADF stationarity of all five series (override with `force`),
     then reports cross-family feature importances, a cointegration rank
     table, a Granger grid with wash as the cause, and the impulse responses
-    of a VAR on all five series.
+    of a VAR on the four free series (total = wash + nonwash is derived).
     """
     series = bars.series_map()
     tables: Dict[str, ReportTable] = {}
@@ -388,26 +413,19 @@ def study_timing(
     )
 
     data = bars.matrix()
-    # total is the exact sum of wash and nonwash, which makes the five-series
-    # system singular; the rank test runs on the four free series instead.
-    joh_series = ("wash", "nonwash", "liq", "vol")
-    joh = johansen(bars.matrix(joh_series), var_order, names=list(joh_series))
+    free = bars.matrix(LEDGER_VAR_SERIES)
+    joh = johansen(free, var_order, names=list(LEDGER_VAR_SERIES))
     notes.append("johansen excludes total (exact sum of wash and nonwash)")
-    joh_table = ReportTable(
-        "johansen",
-        ["eigenvalue", "trace", "trace_crit_95", "max_eigen", "max_eigen_crit_95"],
-    )
-    for r_idx in range(len(joh.eigenvalues)):
-        joh_table.add(
-            f"r={r_idx}",
-            {
-                "eigenvalue": joh.eigenvalues[r_idx],
-                "trace": joh.trace_stats[r_idx],
-                "trace_crit_95": joh.trace_crit_95[r_idx],
-                "max_eigen": joh.max_eigen_stats[r_idx],
-                "max_eigen_crit_95": joh.max_eigen_crit_95[r_idx],
-            },
-        )
+    joh_columns = {
+        "eigenvalue": joh.eigenvalues,
+        "trace": joh.trace_stats,
+        "trace_crit_95": joh.trace_crit_95,
+        "max_eigen": joh.max_eigen_stats,
+        "max_eigen_crit_95": joh.max_eigen_crit_95,
+    }
+    joh_table = ReportTable("johansen", list(joh_columns))
+    for r in range(len(joh.eigenvalues)):
+        joh_table.add(f"r={r}", {c: v[r] for c, v in joh_columns.items()})
     tables["johansen"] = joh_table
     notes.append(f"johansen rank = {joh.rank}")
 
@@ -421,11 +439,8 @@ def study_timing(
             )
     tables["granger"] = granger_table
 
-    model = var_fit(data, var_order, names=list(STUDY_SERIES))
-    irfm = irf(model, horizons)
-    responses = _pair_responses(irfm, _TIMING_IRF_PAIRS, model.nobs)
-    tables["irf"] = _irf_table("irf", responses, horizons)
-    notes.append(_BLANK_CELL_NOTE)
+    tables["irf"] = _ledger_irf("irf", free, var_order, horizons, notes)
+    notes.extend(_IRF_NOTES)
 
     return StudyReport(
         study="timing",
@@ -473,11 +488,8 @@ def study_onchain(
     def eg_pvalue(q: int, y: np.ndarray, x: np.ndarray) -> float:
         if len(y) < min_eg_len:
             notes.append(f"Q{q}: too few bars for the cointegration test ({len(y)})")
-        elif np.ptp(y) == 0.0:
-            notes.append(f"Q{q}: on-chain volume is constant; no cointegration test")
-        else:
-            return engle_granger(y, x).pvalue
-        return float("nan")
+            return float("nan")
+        return engle_granger(y, x).pvalue
 
     nonwash = bars.column("nonwash")
     table = _quartile_table(chain, nonwash, quartiles, min_bars, "bars", notes, eg_pvalue)
@@ -602,8 +614,9 @@ def study_media(
 
     Weeks (already screened for in-week stationarity) are split at the median
     trend score: strictly above versus at-or-below. Each side gets its own
-    VAR on the five weekly sums, with the order clamped down when a side has
-    too few weeks to support it.
+    VAR on the weekly sums of the four free series (total's response is
+    derived), with the order clamped down when a side has too few weeks to
+    support it.
     """
     if trends.kind != "trends":
         raise DataError(f"expected trends aux series, got {trends.kind!r}")
@@ -622,7 +635,6 @@ def study_media(
 
     tables: Dict[str, ReportTable] = {}
     notes = [f"{len(weekly)} weeks in; trend median {median!r}"]
-    k = len(STUDY_SERIES)
     for side, group in (
         ("above", [wk for wk, s in zip(weekly, scores) if s > median]),
         ("below", [wk for wk, s in zip(weekly, scores) if s <= median]),
@@ -631,16 +643,9 @@ def study_media(
         if n < min_weeks:
             notes.append(f"{side}: only {n} weeks (need {min_weeks}); skipped")
             continue
-        data = np.array([[wk.sums[name] for name in STUDY_SERIES] for wk in group])
-        p = var_order
-        while p > 1 and n - p <= k * p + 1:  # var_fit feasibility
-            p -= 1
-        if p != var_order:
-            notes.append(f"{side}: VAR order clamped to {p}")
-        model = var_fit(data, p, names=list(STUDY_SERIES))
-        irfm = irf(model, horizons)
-        tables[side] = _irf_table(side, _pair_responses(irfm, _EVENT_IRF_PAIRS, n), horizons)
-    notes.append(_BLANK_CELL_NOTE)
+        data = np.array([[wk.sums[name] for name in LEDGER_VAR_SERIES] for wk in group])
+        tables[side] = _ledger_irf(side, data, var_order, horizons, notes, n)
+    notes.extend(_IRF_NOTES)
 
     return StudyReport(
         study="media",
@@ -661,8 +666,10 @@ def study_event(
     var_order: int = 4,
     horizons: int = 10,
 ) -> StudyReport:
-    """Separate VARs on the bars before and after an event timestamp."""
+    """Separate VARs on the four free series (see study_timing) in the bars
+    before and after an event timestamp."""
     tables: Dict[str, ReportTable] = {}
+    notes: List[str] = []
     for name, win, days in (
         ("pre", config.pre_window, config.pre_days),
         ("post", config.post_window, config.post_days),
@@ -675,12 +682,9 @@ def study_event(
                 f"{name} window {fmt_ts(win.start)}..{fmt_ts(win.end)} has no bars"
             ) from None
         if len(sub) != expected:
-            raise DataError(
-                f"{name} window needs {expected} bars, found {len(sub)}"
-            )
-        model = var_fit(sub.matrix(), var_order, names=list(STUDY_SERIES))
-        irfm = irf(model, horizons)
-        tables[name] = _irf_table(name, _pair_responses(irfm, _EVENT_IRF_PAIRS, len(sub)), horizons)
+            raise DataError(f"{name} window needs {expected} bars, found {len(sub)}")
+        data = sub.matrix(LEDGER_VAR_SERIES)
+        tables[name] = _ledger_irf(name, data, var_order, horizons, notes, len(sub))
 
     return StudyReport(
         study="event",
@@ -693,5 +697,5 @@ def study_event(
             "horizons": horizons,
         },
         tables=tables,
-        notes=[_BLANK_CELL_NOTE],
+        notes=[*notes, *_IRF_NOTES],
     )

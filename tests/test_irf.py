@@ -3,7 +3,7 @@ import pytest
 
 from goxlens.econometrics import irf, var_fit
 from goxlens.econometrics.varmodel import VarModel
-from goxlens.errors import DataError
+from goxlens.errors import DataError, SingularityError
 
 
 def model_from(c, A_list, sigma, names=None, mean_abs=None):
@@ -98,12 +98,14 @@ def test_ordering_permutation_matters_only_with_correlation():
     assert c.responses == pytest.approx(d.responses, abs=1e-12)
 
 
-def test_singular_psd_covariance_gets_ridged():
+def test_singular_covariance_is_refused():
+    # PSD but rank one: no Cholesky factor, and no ridge to make one
     v = np.array([1.0, 2.0])
-    m = model_from([0.0, 0.0], [A_STABLE], np.outer(v, v))
-    out = irf(m, 3)
-    assert out.ridge > 0.0
-    assert np.all(np.isfinite(out.responses))
+    m = model_from([0.0, 0.0], [A_STABLE], np.outer(v, v), names=["wash", "total"])
+    for ordering in (None, [1, 0]):
+        with pytest.raises(SingularityError, match="not positive definite") as e:
+            irf(m, 3, ordering=ordering)
+        assert e.value.columns == ["wash", "total"]
 
 
 def test_indefinite_covariance_rejected():

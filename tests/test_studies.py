@@ -89,6 +89,11 @@ def test_timing_constructed_dependence():
     assert labels == [f"h={h}" for h in range(1, 11)] + ["sum", "n"]
     assert irf_table.rows[0][1]["nonwash_to_wash"] > 0.0
     assert irf_table.rows[11][1]["nonwash_to_wash"] == 672 - 4
+    assert irf_table.columns == ["wash_to_nonwash", "nonwash_to_wash", "wash_to_total"]
+    cells = [v for _label, row in irf_table.rows[:11] for v in row.values()]
+    assert all(np.isfinite(v) and abs(v) < 1e3 for v in cells)
+    assert any(n.startswith("irf: VAR(4) on wash, nonwash, liq, vol; spectral radius ")
+               for n in rep.notes)
 
     assert [label for label, _ in rep.tables["granger"].rows] == [
         f"wash->{effect}_L{lag}"
@@ -253,13 +258,17 @@ def test_onchain_input_validation():
 
 
 def test_onchain_constant_quartile_gets_no_cointegration_test():
-    bars, chain, labels = _onchain_setup(5)
-    chain.values["output"][:96] = 0.0  # the two Q1 days see no settlement
-    rep = study_onchain(bars, chain, labels)
-    rows = dict(rep.tables["quartiles"].rows)
-    assert rows["Q1"]["eg_pvalue"] != rows["Q1"]["eg_pvalue"]  # nan
-    assert "Q1: on-chain volume is constant; no cointegration test" in rep.notes
-    assert all(rows[q]["eg_pvalue"] == rows[q]["eg_pvalue"] for q in ("Q2", "Q3", "Q4"))
+    # no settlement, then the same non-zero settlement, on every Q1 bar
+    for level in (0.0, 7.0):
+        bars, chain, labels = _onchain_setup(5)
+        chain.values["output"][:96] = level
+        rep = study_onchain(bars, chain, labels)
+        rows = dict(rep.tables["quartiles"].rows)
+        for col in ("slope", "pvalue", "adj_r2", "eg_pvalue"):
+            assert np.isnan(rows["Q1"][col]), (level, col)
+        assert rows["Q1"]["n"] == 96
+        assert rep.notes == ["Q1: response is constant over its 96 bars; no fit"]
+        assert all(np.isfinite(rows[q]["eg_pvalue"]) for q in ("Q2", "Q3", "Q4"))
 
 
 # --- market ---------------------------------------------------------------
@@ -491,11 +500,20 @@ def test_media_small_side_skipped_and_order_clamped():
     assert "below" in rep.tables
     assert any(n == "above: only 9 weeks (need 20); skipped" for n in rep.notes)
 
-    # 25-week sides cannot support an order-4 VAR on five series
-    weeks2, trends2 = _weekly_setup(n_side=25)
-    rep2 = study_media(weeks2, trends2, var_order=4)
-    assert any(n == "above: VAR order clamped to 3" for n in rep2.notes)
-    assert any(n == "below: VAR order clamped to 3" for n in rep2.notes)
+    # an order-p VAR on four series leaves n - p - 4p - 1 residual degrees of
+    # freedom, which must be at least 4: 25-week sides support order 4, and
+    # 24-week sides clamp to 3
+    rep2 = study_media(*_weekly_setup(n_side=25), var_order=4)
+    assert not any("clamped" in n for n in rep2.notes)
+    assert any(n.startswith("above: VAR(4) on wash, nonwash, liq, vol;") for n in rep2.notes)
+    rep3 = study_media(*_weekly_setup(n_side=24), var_order=4)
+    for side in ("above", "below"):
+        assert f"{side}: VAR order clamped to 3" in rep3.notes
+        assert any(n.startswith(f"{side}: VAR(3) on wash, nonwash, liq, vol;") for n in rep3.notes)
+        assert all(np.isfinite(c) for _label, cells in rep3.tables[side].rows for c in cells.values())
+    # a side too short for order 1 names the shortfall
+    with pytest.raises(DataError, match="support an order of at most 0, got 1"):
+        study_media(*_weekly_setup(n_side=9), min_weeks=5)
 
 
 def test_media_last_score_of_a_week_wins():
@@ -550,6 +568,58 @@ def test_event_windows_hold_672_bars_each():
         for col in table.columns:
             assert table.rows[11][1][col] == 672
     assert rep.parameters["event"] == "2012-04-20 00:00:00"
+
+
+def test_event_leaves_constant_series_out_and_notes_each_fit():
+    rep = study_event(_event_bars(0, surge_pre=False))  # liq and vol are all zero
+    for side in ("pre", "post"):
+        assert f"{side}: liq is constant; left out of the VAR" in rep.notes
+        assert f"{side}: vol is constant; left out of the VAR" in rep.notes
+        fit = [n for n in rep.notes if n.startswith(f"{side}: VAR(4) on wash, nonwash; ")]
+        assert len(fit) == 1 and "spectral radius" in fit[0] and "unstable" not in fit[0]
+        table = rep.tables[side]
+        assert table.columns == ["wash_to_nonwash", "nonwash_to_wash", "wash_to_total"]
+        cells = [v for _label, row in table.rows[:11] for v in row.values()]
+        assert all(np.isfinite(v) and abs(v) < 1e3 for v in cells)
+    assert any("total_to_wash is not reported" in n for n in rep.notes)
+
+
+def _event_ledger_bars(seed):
+    """28 days around the event: wash follows lagged nonwash, liq and vol vary."""
+    rng = np.random.default_rng(seed)
+    n = 28 * 48
+    nw = 150.0 + 10.0 * rng.standard_normal(n)
+    w = 100.0 + 2.0 * rng.standard_normal(n)
+    w[1:] += 0.5 * (nw[:-1] - 150.0)
+    liq = 1e-4 * (1.0 + 0.2 * rng.standard_normal(n))
+    vol = 1e-3 * (1.0 + 0.2 * rng.standard_normal(n))
+    return bars_from_arrays(w, nw, liq, vol, t0=DEFAULT_EVENT_TS - 14 * DAY)
+
+
+def test_wash_to_total_is_the_sum_of_the_wash_and_nonwash_responses():
+    from test_irf import sim_oracle
+
+    bars = _event_ledger_bars(3)
+    rep = study_event(bars)
+    sub = bars.slice(EventConfig().pre_window)
+    total = sub.column("total")
+    assert total == pytest.approx(sub.column("wash") + sub.column("nonwash"), rel=1e-15)
+    got = {c: np.array([row[c] for _l, row in rep.tables["pre"].rows[:10]])
+           for c in rep.tables["pre"].columns}
+
+    free = ["wash", "nonwash", "liq", "vol"]
+    m = var_fit(sub.matrix(free), 4, names=free)
+    scale = 100.0 / np.mean(np.abs(total[4:]))
+    hand = irf(m, 10).responses
+    assert got["wash_to_total"] == pytest.approx(scale * (hand[:, 0, 0] + hand[:, 1, 0]), rel=1e-12)
+    oracle = sim_oracle(m, 10, 0)
+    assert np.max(np.abs(got["wash_to_total"] - scale * (oracle[:, 0] + oracle[:, 1]))) < 1e-8
+
+    # in the (wash, total, liq, vol) basis, the shock to total is the nonwash shock
+    basis = ["wash", "total", "liq", "vol"]
+    m_total = var_fit(sub.matrix(basis), 4, names=basis)
+    via_total = irf(m_total, 10).percent_response("wash", "total")
+    assert np.max(np.abs(via_total - got["nonwash_to_wash"])) < 1e-10
 
 
 def test_event_pre_surge_shows_up_only_pre():

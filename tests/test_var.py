@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from goxlens.econometrics import companion, granger, select_lag_aic, spectral_radius, var_fit
-from goxlens.errors import DataError
+from goxlens.econometrics.varmodel import max_order
+from goxlens.errors import DataError, SingularityError
 from goxlens.synth import gen_var_process
 
 A1 = np.array([[0.5, 0.1], [0.0, 0.3]])
@@ -41,10 +42,17 @@ def test_noise_has_no_structure():
 
 
 def test_fit_on_deterministic_path_has_zero_residuals():
-    # noise off: the series follows the recursion exactly
-    data = _sim([A1], 400, seed=0, c=np.array([1.0, 2.0]), sigma=np.zeros((2, 2)))
+    # noise off: the series follows the recursion exactly, from zero towards
+    # its fixed point
+    c, off = np.array([1.0, 2.0]), np.zeros((2, 2))
+    data = gen_var_process(c, [A1], off, 400, seed=0, burn_in=0)
     m = var_fit(data, 1)
     assert np.max(np.abs(m.resid)) < 1e-8
+    assert m.coefs[0] == pytest.approx(A1, abs=1e-10)
+    # after a burn-in the path sits at the fixed point: constant up to
+    # round-off, so the lag design has no rank to fit
+    with pytest.raises(SingularityError):
+        var_fit(_sim([A1], 400, seed=0, c=c, sigma=off), 1)
 
 
 def test_reconstruction_identity():
@@ -72,6 +80,37 @@ def test_var_input_validation():
         var_fit(np.ones((10, 2)), 0)
     with pytest.raises(DataError):
         var_fit(np.random.default_rng(0).standard_normal((5, 2)), 2)
+    with pytest.raises(DataError, match="series \\['b'\\] has non-finite values"):
+        var_fit(np.column_stack([np.arange(20.0), [np.nan] * 20]), 1, names=["a", "b"])
+
+
+def test_order_bound_leaves_k_residual_degrees_of_freedom():
+    # T - p - k*p - 1 >= k: 25 rows of 4 series support order 4, 24 rows order 3
+    assert max_order(25, 4) == 4 and max_order(24, 4) == 3
+    data = np.random.default_rng(1).standard_normal((25, 4))
+    assert var_fit(data, 4).nobs == 21
+    with pytest.raises(DataError, match="at most 3, got 4"):
+        var_fit(data[:24], 4)
+    m = var_fit(data[:24], 3)
+    assert np.linalg.matrix_rank(m.sigma_u) == 4
+
+
+def test_linear_dependency_is_named():
+    rng = np.random.default_rng(2)
+    w, nw, liq, vol = rng.standard_normal((4, 300))
+    data = np.column_stack([w, nw, w + nw, liq, vol])
+    names = ["wash", "nonwash", "total", "liq", "vol"]
+    with pytest.raises(SingularityError, match="linearly dependent") as e:
+        var_fit(data, 2, names=names)
+    assert e.value.columns == ["wash", "nonwash", "total"]
+
+
+def test_constant_series_is_named():
+    data = np.random.default_rng(3).standard_normal((200, 3))
+    data[:, 2] = 7.0
+    with pytest.raises(SingularityError, match="constant series") as e:
+        var_fit(data, 1, names=["wash", "nonwash", "liq"])
+    assert e.value.columns == ["liq"]
 
 
 # --- companion form ----------------------------------------------------------
