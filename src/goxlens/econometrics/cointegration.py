@@ -118,14 +118,16 @@ def johansen(data, p: int, names: Optional[Sequence[str]] = None) -> JohansenRes
 def _check_collinear(data: np.ndarray, names: Sequence[str]) -> None:
     """Refuse constant or linearly dependent columns, naming the series.
 
-    On the standardized columns, a singular value below 1e-10 of the largest
-    marks a dependency; its right singular vector names the series in it.
+    A column whose std is at most 1e-12 of its mean absolute level is constant
+    up to round-off. On the standardized columns, a singular value below 1e-10
+    of the largest marks a dependency; its right singular vector names the
+    series in it.
     """
     bad = [names[i] for i in np.flatnonzero(~np.isfinite(data).all(axis=0))]
     if bad:
         raise DataError(f"series {bad} has non-finite values")
     stds = data.std(axis=0)
-    flat = [names[i] for i in np.flatnonzero(stds == 0.0)]
+    flat = [names[i] for i in np.flatnonzero(stds <= 1e-12 * np.abs(data).mean(axis=0))]
     if flat:
         raise SingularityError(f"constant series: {flat}", columns=flat)
     _u, s, vt = np.linalg.svd((data - data.mean(axis=0)) / stds, full_matrices=False)

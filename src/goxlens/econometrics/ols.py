@@ -1,4 +1,9 @@
-"""Ordinary least squares via SVD least squares (minimum-norm on rank loss)."""
+"""Ordinary least squares from one SVD of the design with unit-norm columns.
+
+Unit-norm columns make fits and t-ratios independent of the data's scale
+(Golub & Van Loan, *Matrix Computations*, section 5.3; Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 20). `lstsq` serves VAR, Granger and Johansen.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +13,15 @@ import numpy as np
 
 from ..errors import DataError
 
+_EPS = np.finfo(np.float64).eps
 # scipy.linalg.lstsq's default cutoff: singular values below eps * s_max are zero
-_RCOND = np.finfo(np.float64).eps
+_RCOND = _EPS
+
+
+def _check_finite(X: np.ndarray, Y: np.ndarray) -> None:
+    for name, a in (("design", X), ("response", Y)):
+        if not np.isfinite(a).all():
+            raise DataError(f"least-squares {name} of shape {a.shape} has non-finite values")
 
 
 def lstsq(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -18,11 +30,24 @@ def lstsq(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, int]:
     The same driver and cutoff as `scipy.linalg.lstsq(X, Y, lapack_driver="gelsd")`,
     through numpy, so a fit does not import scipy. Y may be 1-d or 2-d.
     """
-    for name, a in (("design", X), ("response", Y)):
-        if not np.isfinite(a).all():
-            raise DataError(f"least-squares {name} of shape {a.shape} has non-finite values")
+    _check_finite(X, Y)
     B, _, rank, _ = np.linalg.lstsq(X, Y, rcond=_RCOND)
     return B, int(rank)
+
+
+def equilibrate(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X scaled to unit-norm columns, and the norms d; an all-zero column keeps
+    d = 1, so it shows as rank loss. A non-finite X or y is a DataError."""
+    _check_finite(X, y)
+    d = np.linalg.norm(X, axis=0)
+    d[d == 0.0] = 1.0
+    return X / d, d
+
+
+def nonzero_pivots(pivots: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The rank rule of `ols` and the ADF lag search: a singular value (or |R_jj|)
+    of an equilibrated n x k design is nonzero above max(n, k)·eps of the largest."""
+    return pivots > pivots.max() * max(shape) * _EPS
 
 
 @dataclass
@@ -53,9 +78,10 @@ class OlsFit:
 def ols(y, X, intercept: bool = True) -> OlsFit:
     """Fit y on X (optionally with a prepended intercept column).
 
-    Rank-deficient designs are flagged and solved in the minimum-norm sense;
-    standard errors then come from the pseudo-inverse, so collinear columns
-    get finite (shared) uncertainty rather than a crash. p-values are
+    One SVD of X with unit-norm columns gives the coefficients, the rank and
+    the standard errors: bse_j = sqrt(s2 · Σ_i (V_ji / s_i)²) / d_j over the
+    kept singular values s_i, with d_j the norm of column j. A rank-deficient
+    design is flagged and solved in the minimum-norm sense. p-values are
     two-sided from the t distribution with n - rank dof.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -70,29 +96,27 @@ def ols(y, X, intercept: bool = True) -> OlsFit:
     if n <= k + 1:
         raise DataError(f"need more than {k + 1} observations, got {n}")
 
-    params, rank = lstsq(X, y)
-    resid = y - X @ params
+    Xs, d = equilibrate(X, y)
+    u, s, vt = np.linalg.svd(Xs, full_matrices=False)
+    keep = nonzero_pivots(s, Xs.shape)
+    rank = int(keep.sum())
+    u, w = u[:, keep], vt[keep].T / s[keep]  # w = V S^-1 over the kept values
+    uty = u.T @ y
+    coef = w @ uty  # coefficients of the unit-norm columns
+    resid = y - u @ uty
     rss = float(resid @ resid)
     df_resid = n - rank
-    s2 = rss / df_resid
-    xtx_inv = np.linalg.pinv(X.T @ X)
-    bse = np.sqrt(np.clip(np.diag(xtx_inv), 0.0, None) * s2)
+    se = np.sqrt(rss / df_resid * np.einsum("ij,ij->i", w, w))
     with np.errstate(divide="ignore", invalid="ignore"):
-        tvalues = np.where(bse > 0.0, params / np.where(bse > 0.0, bse, 1.0), np.inf * np.sign(params))
+        tvalues = np.where(se > 0.0, coef / np.where(se > 0.0, se, 1.0), np.inf * np.sign(coef))
 
-    if intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
-    if tss > 0.0:
-        r2 = 1.0 - rss / tss
-        rsq_adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid
-    else:
-        rsq_adj = np.nan
+    tss = float(np.sum((y - y.mean()) ** 2)) if intercept else float(y @ y)
+    r2 = 1.0 - rss / tss if tss > 0.0 else np.nan
+    rsq_adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid
 
     return OlsFit(
-        params=params,
-        bse=bse,
+        params=coef / d,
+        bse=se / d,
         tvalues=tvalues,
         rsquared_adj=float(rsq_adj),
         resid=resid,

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DataError, DegenerateSeriesError
-from .ols import ols
+from .ols import equilibrate, nonzero_pivots, ols
 
 # Rows: T = 25, 50, 100, 250, 500, asymptotic. Columns follow _CRIT_LEVELS.
 _CRIT_T = np.array([25.0, 50.0, 100.0, 250.0, 500.0, np.inf])
@@ -61,7 +61,8 @@ def _adf_tstat(
     """t-ratio on the lagged level; returns (stat, lag used, regression nobs).
 
     With lag_rule="aic" the lag is chosen on a common sample (rows aligned at
-    max_lag), then the winner is re-estimated on its own maximal sample.
+    max_lag), then the winner is re-estimated on its own maximal sample. A
+    rank-deficient max-lag design or refit raises DegenerateSeriesError.
     """
     n = len(y)
     dy = np.diff(y)
@@ -78,64 +79,50 @@ def _adf_tstat(
         chosen = max_lag
     elif lag_rule == "aic":
         chosen = _aic_lag_qr(*design(max_lag, max_lag), constant)
-        if chosen is None:
-            chosen = _aic_lag_ols(design, max_lag, constant)
     else:
         raise DataError(f"unknown lag_rule {lag_rule!r}")
 
     dep, X = design(chosen, chosen)
     fit = ols(dep, X, intercept=constant)
+    if fit.rank_deficient:
+        raise DegenerateSeriesError(f"ADF design at lag {chosen} has rank {fit.rank} "
+                                    f"of {len(fit.params)}")
     # The lagged level is the first X column; intercept (if any) precedes it.
     pos = 1 if constant else 0
     return float(fit.tvalues[pos]), chosen, len(dep)
 
 
-def _aic(rss, k, nobs):
-    """log(RSS/nobs) + 2k/nobs, with RSS floored at the smallest normal float."""
-    return np.log(np.maximum(rss, np.finfo(float).tiny) / nobs) + 2.0 * k / nobs
-
-
-def _aic_lag_qr(dep: np.ndarray, X: np.ndarray, constant: bool) -> Optional[int]:
-    """AIC lag from one QR of the max-lag design; None where `ols` must decide.
+def _aic_lag_qr(dep: np.ndarray, X: np.ndarray, constant: bool) -> int:
+    """AIC lag from one QR of the max-lag design, its columns scaled to unit norm.
 
     Lag l's regressors are the leading 1 + l (+ constant) columns, so one
     factorisation gives every lag's RSS: the full fit's RSS plus the squares
-    of the dropped coordinates of Q'dep (Golub & Van Loan, section 5.3).
-    A design too short for `ols`, a near-zero |R_jj| (rank loss, where `ols`
-    takes the minimum-norm fit) or a non-finite RSS returns None.
+    of the dropped coordinates of Q'dep (Golub & Van Loan, section 5.3); the
+    scaling leaves each RSS unchanged. A design too short for `ols` is a
+    DataError, and one whose |R_jj| fail `ols`'s rank rule (`nonzero_pivots`)
+    is a DegenerateSeriesError.
     """
+    first = 2 if constant else 1  # columns of the lag-0 model
     if constant:
         X = np.column_stack([np.ones(len(dep)), X])
     nobs, p = X.shape
     if nobs <= p + 1:
-        return None
+        raise DataError(f"need more than {p + 1} observations, got {nobs}")
+    X, _ = equilibrate(X, dep)
     q, r = np.linalg.qr(X)
-    diag = np.abs(np.diagonal(r))
-    if not (diag > diag.max() * max(nobs, p) * np.finfo(float).eps).all():
-        return None
+    if not nonzero_pivots(np.abs(np.diagonal(r)), X.shape).all():
+        raise DegenerateSeriesError(f"ADF design at max lag {p - first} is rank deficient")
     qty = q.T @ dep
     resid = dep - q @ qty
     # tail[j] = sum of qty[i]^2 for i >= j; ||dep||^2 minus the kept squares
     # would cancel when R^2 is near 1
     tail = np.cumsum(qty[::-1] ** 2)[::-1]
-    first = 2 if constant else 1  # columns of the lag-0 model
     rss = float(resid @ resid) + np.append(tail[first:], 0.0)
-    if not np.isfinite(rss).all():
-        return None
+    # log(RSS/nobs) + 2k/nobs, RSS floored at the smallest normal float;
     # argmin keeps the first minimum: ties go to the smaller lag
-    return int(np.argmin(_aic(rss, np.arange(first, p + 1), nobs)))
-
-
-def _aic_lag_ols(design, max_lag: int, constant: bool) -> int:
-    """AIC lag from one `ols` fit per lag, all on the common sample."""
-    best = (np.inf, 0)
-    for lag in range(max_lag + 1):
-        dep, X = design(lag, max_lag)
-        fit = ols(dep, X, intercept=constant)
-        aic = _aic(fit.rss, X.shape[1] + (1 if constant else 0), len(dep))
-        if aic < best[0]:
-            best = (aic, lag)
-    return best[1]
+    k = np.arange(first, p + 1)
+    aic = np.log(np.maximum(rss, np.finfo(float).tiny) / nobs) + 2.0 * k / nobs
+    return int(np.argmin(aic))
 
 
 def adf(series, max_lag: Optional[int] = None, lag_rule: str = "aic") -> AdfResult:

@@ -10,7 +10,7 @@ chronological at 70%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class LaggedDataset:
     target: str
     lags: tuple[int, ...]
     split: int  # first test row index
-    t: Optional[np.ndarray] = None  # per-row timestamps, when the caller has them
 
     @property
     def n_features(self) -> int:
@@ -56,7 +55,6 @@ def build_lagged(
     lags: Sequence[int] = DEFAULT_LAGS,
     seed: int = 0,
     target: str = "wash",
-    t: Optional[np.ndarray] = None,
 ) -> LaggedDataset:
     """Assemble the lagged design from a map of aligned series.
 
@@ -93,12 +91,6 @@ def build_lagged(
     X = np.column_stack(cols)
     y = arrays[target][rows]
     split = int(0.7 * len(rows))
-    t_rows = None
-    if t is not None:
-        t = np.asarray(t)
-        if len(t) != n_total:
-            raise DataError(f"timestamps length {len(t)} != series length {n_total}")
-        t_rows = t[rows]
     return LaggedDataset(
         X=X,
         y=y,
@@ -106,5 +98,4 @@ def build_lagged(
         target=target,
         lags=tuple(lag_list),
         split=split,
-        t=t_rows,
     )

@@ -14,12 +14,11 @@ the forest, summed over rounds for boosting.
 
 Determinism: features are scanned in index order, candidate thresholds in
 ascending order, ties keep the first winner, and all randomness flows from
-spawned per-tree generators, so parallel fitting reduces in a fixed order.
+spawned per-tree generators.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -268,7 +267,6 @@ def train_forest(
     n_trees: int = 100,
     max_depth: int = 3,
     seed: int = 0,
-    threads: int = 1,
 ) -> ForestModel:
     """Bootstrap forest with per-split feature subsets of size max(1, f//3)."""
     _check_train_rows(ds)
@@ -276,30 +274,20 @@ def train_forest(
     n = len(y)
     f = ds.n_features
     n_subset = max(1, f // 3)
-    streams = np.random.SeedSequence(seed).spawn(n_trees)
     XT, order = _column_block(X)
-
-    def one_tree(child: np.random.SeedSequence):
+    roots, imps = [], []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n)
-        imp = np.zeros(f)
+        imps.append(np.zeros(f))
         splitter = _SseSplitter(XT, y, np.bincount(rows, minlength=n).astype(np.float64))
         # Weighted fit on bootstrap counts; rows with zero weight must not
         # enter the splitter, so index the positive-count subset.
         member = splitter.w > 0
         idx = np.flatnonzero(member)
         ranked = order[member[order]].reshape(f, len(idx))
-        root = _grow(splitter, idx, ranked, 0, max_depth, imp, rng, n_subset)
-        return root, imp
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_tree, streams))
-    else:
-        results = [one_tree(s) for s in streams]
-    roots = [r for r, _ in results]
-    importances = np.mean([imp for _, imp in results], axis=0)
-    return ForestModel("forest", list(ds.columns), importances, roots)
+        roots.append(_grow(splitter, idx, ranked, 0, max_depth, imps[-1], rng, n_subset))
+    return ForestModel("forest", list(ds.columns), np.mean(imps, axis=0), roots)
 
 
 def train_boost(

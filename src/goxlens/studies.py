@@ -212,14 +212,11 @@ _LONGEST_FIRST = ("lstm", "gru", "gradient_second_order", "forest", "adaboost_re
 
 
 def _fit_family(ds, family: str, seed: int):
-    """Train one model family; module level, so a worker process can run it.
-
-    The forest runs on one thread, so a worker starts no pool of its own.
-    """
+    """Train one model family; module level, so a worker process can run it."""
     if family == "tree":
         return train_tree(ds)
     if family == "forest":
-        return train_forest(ds, seed=seed, threads=1)
+        return train_forest(ds, seed=seed)
     if family in ("gru", "lstm"):
         return train_rnn(ds, family, seed=seed)
     return train_boost(ds, family, seed=seed)
@@ -322,7 +319,8 @@ def _quartile_table(
 
     Rows Q1..Q4 hold the slope, its p-value, the adjusted R² and n, plus
     `eg_pvalue(q, y, x)` as "eg_pvalue" when that is given. A quartile with
-    fewer than `min_n` rows, or whose y is constant, gets NaN cells and a note.
+    fewer than `min_n` rows, whose y is constant, or whose fit is rank deficient
+    (x constant) gets NaN cells and a note.
     """
     columns = ["slope", "pvalue", "adj_r2", *(["eg_pvalue"] if eg_pvalue else []), "n"]
     table = ReportTable("quartiles", columns)
@@ -336,9 +334,12 @@ def _quartile_table(
             notes.append(f"Q{q}: response is constant over its {n} {unit}; no fit")
         else:
             fit = ols(y[mask], x[mask][:, None])
-            cells.update(slope=fit.params[1], pvalue=fit.pvalues[1], adj_r2=fit.rsquared_adj)
-            if eg_pvalue:
-                cells["eg_pvalue"] = eg_pvalue(q, y[mask], x[mask])
+            if fit.rank_deficient:
+                notes.append(f"Q{q}: regressor is constant over its {n} {unit}; no fit")
+            else:
+                cells.update(slope=fit.params[1], pvalue=fit.pvalues[1], adj_r2=fit.rsquared_adj)
+                if eg_pvalue:
+                    cells["eg_pvalue"] = eg_pvalue(q, y[mask], x[mask])
         table.add(f"Q{q}", cells)
     return table
 
@@ -489,7 +490,11 @@ def study_onchain(
         if len(y) < min_eg_len:
             notes.append(f"Q{q}: too few bars for the cointegration test ({len(y)})")
             return float("nan")
-        return engle_granger(y, x).pvalue
+        try:
+            return engle_granger(y, x).pvalue
+        except DegenerateSeriesError as e:
+            notes.append(f"Q{q}: no cointegration test ({e})")
+            return float("nan")
 
     nonwash = bars.column("nonwash")
     table = _quartile_table(chain, nonwash, quartiles, min_bars, "bars", notes, eg_pvalue)

@@ -52,14 +52,12 @@ def test_target_never_leaks_into_features():
 
 
 def test_split_is_chronological_seventy_percent():
-    n = 101
-    t = np.arange(n) * 1800
-    ds = build_lagged(_series(n), lags=(1,), t=t)
+    ds = build_lagged(_series(101), lags=(1,))
     assert ds.split == int(0.7 * 100)
     assert ds.X_train.shape[0] == ds.split
     assert ds.X_test.shape[0] == 100 - ds.split
-    assert ds.t is not None
-    assert ds.t[: ds.split].max() < ds.t[ds.split :].min()
+    assert np.array_equal(ds.X_train, ds.X[: ds.split])
+    assert np.array_equal(ds.y_test, ds.y[ds.split :])
 
 
 def test_placebo_is_seeded_and_last():
@@ -90,5 +88,3 @@ def test_validation_errors():
     bad["f0"] = bad["f0"][:-1]
     with pytest.raises(DataError):
         build_lagged(bad, lags=(1,))
-    with pytest.raises(DataError):
-        build_lagged(_series(40), lags=(1,), t=np.arange(39))

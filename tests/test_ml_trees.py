@@ -95,11 +95,11 @@ def test_depth_cap_respected():
 # --- forest ------------------------------------------------------------------
 
 
-def test_forest_deterministic_and_thread_invariant():
+def test_forest_deterministic():
     ds = _ds(seed=7, signal=2.0)
-    a = train_forest(ds, n_trees=20, seed=1, threads=1)
-    b = train_forest(ds, n_trees=20, seed=1, threads=4)
-    c = train_forest(ds, n_trees=20, seed=2, threads=1)
+    a = train_forest(ds, n_trees=20, seed=1)
+    b = train_forest(ds, n_trees=20, seed=1)
+    c = train_forest(ds, n_trees=20, seed=2)
     assert np.array_equal(a.importances, b.importances)
     assert np.array_equal(a.predict(ds.X_test), b.predict(ds.X_test))
     assert not np.array_equal(a.importances, c.importances)
@@ -197,8 +197,7 @@ def _tie_heavy_ds(seed):
 
 _FITS = {
     "tree": lambda ds: train_tree(ds),
-    "forest": lambda ds: train_forest(ds, n_trees=12, seed=5, threads=1),
-    "forest_threads_2": lambda ds: train_forest(ds, n_trees=12, seed=5, threads=2),
+    "forest": lambda ds: train_forest(ds, n_trees=12, seed=5),
     "gradient": lambda ds: train_boost(ds, "gradient_second_order", n_rounds=15),
     "adaboost": lambda ds: train_boost(ds, "adaboost_regression", n_rounds=15),
 }
@@ -236,7 +235,7 @@ def test_each_fit_sorts_once(monkeypatch):
     for name, fit in {
         "tree": lambda: train_tree(ds),
         "forest_3": lambda: train_forest(ds, n_trees=3, seed=0),
-        "forest_10": lambda: train_forest(ds, n_trees=10, seed=0, threads=2),
+        "forest_10": lambda: train_forest(ds, n_trees=10, seed=0),
         "gradient_5": lambda: train_boost(ds, "gradient_second_order", n_rounds=5),
         "gradient_20": lambda: train_boost(ds, "gradient_second_order", n_rounds=20),
         "adaboost_10": lambda: train_boost(ds, "adaboost_regression", n_rounds=10),

@@ -86,6 +86,9 @@ def test_regressor_rescaling_invariance():
     assert b.params[1] == pytest.approx(a.params[1], rel=1e-9)
     assert b.rsquared_adj == pytest.approx(a.rsquared_adj, rel=1e-12)
     assert b.resid == pytest.approx(a.resid, abs=1e-9)
+    assert b.tvalues == pytest.approx(a.tvalues, rel=1e-12)
+    assert b.bse[2] == pytest.approx(a.bse[2] / 10.0, rel=1e-12)
+    assert b.bse[:2] == pytest.approx(a.bse[:2], rel=1e-12)
 
 
 def test_too_few_rows_rejected():

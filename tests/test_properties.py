@@ -12,7 +12,9 @@ must agree: the same frame and digest from canonical and respelled text, and
 the same error from a row broken in one cell. Aux series held as columns must
 give what the per-point code gave: the same input digest on random series of
 every kind, the same on-chain sums per timestamp, the same on-chain bar bins
-and the same asset bars.
+and the same asset bars. Least squares must not depend on the data's scale:
+an ADF statistic is unchanged by any scale and offset of the series, and an
+OLS t-value by any column's scale.
 """
 
 import io
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goxlens import features, studies
+from goxlens.econometrics import adf, ols
 from goxlens.detect import TimeWindow, flag_wash
 from goxlens.errors import DataError, PairingError
 from goxlens.features import (
@@ -594,3 +597,58 @@ def test_asset_bars_match_the_per_point_loop(offsets, no_ticks, data):
     assert got.activity_source == source
     for name in ASSET_COLUMNS:
         assert got.columns[name].tobytes() == columns[name].tobytes(), name
+
+
+# --- scale-free least squares ------------------------------------------------
+
+
+def _ar1(seed: int, n: int, phi: float) -> np.ndarray:
+    e = np.random.default_rng(seed).standard_normal(n)
+    y = np.empty(n)
+    y[0] = e[0]
+    for t in range(1, n):
+        y[t] = phi * y[t - 1] + e[t]
+    return y
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(40, 400),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    st.floats(-12.0, 12.0),
+    st.floats(-1e3, 1e3),
+)
+def test_adf_statistic_is_invariant_to_scale_and_offset(seed, n, phi, log_a, b_sd):
+    y = _ar1(seed, n, phi)
+    a = 10.0**log_a
+    want = adf(y)
+    got = adf(a * y + b_sd * a * y.std())
+    assert got.lag == want.lag
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-8)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+def test_ols_tvalues_are_invariant_to_column_scale(seed, k, data):
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(k + 3, 120))
+    X = rng.standard_normal((n, k))
+    y = X @ rng.standard_normal(k) + rng.standard_normal(n)
+    scale = 10.0 ** np.array(data.draw(st.lists(st.floats(-12.0, 12.0), min_size=k, max_size=k)))
+    want = ols(y, X)
+    got = ols(y, X * scale)
+    assert got.tvalues == pytest.approx(want.tvalues, rel=1e-9)
+    assert got.params[1:] * scale == pytest.approx(want.params[1:], rel=1e-9)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+def test_ols_bse_matches_the_normal_equations_on_well_scaled_designs(seed, k, data):
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(k + 3, 200))
+    X = rng.standard_normal((n, k))
+    fit = ols(X @ rng.standard_normal(k) + rng.standard_normal(n), X)
+    Xd = np.column_stack([np.ones(n), X])
+    want = np.sqrt(np.diag(np.linalg.pinv(Xd.T @ Xd)) * fit.rss / fit.df_resid)
+    assert fit.bse == pytest.approx(want, rel=1e-10)

@@ -258,16 +258,22 @@ def test_onchain_input_validation():
 
 
 def test_onchain_constant_quartile_gets_no_cointegration_test():
-    # no settlement, then the same non-zero settlement, on every Q1 bar
-    for level in (0.0, 7.0):
+    # no settlement, then the same non-zero settlement, on every Q1 bar; then
+    # the same non-wash volume on every Q1 bar, which leaves the fit rank deficient
+    for level, flat in ((0.0, "response"), (7.0, "response"), (150.0, "regressor")):
         bars, chain, labels = _onchain_setup(5)
-        chain.values["output"][:96] = level
+        if flat == "response":
+            chain.values["output"][:96] = level
+        else:
+            nw = bars.column("nonwash").copy()
+            nw[:96] = level
+            bars = bars_from_arrays(bars.column("wash"), nw)
         rep = study_onchain(bars, chain, labels)
         rows = dict(rep.tables["quartiles"].rows)
         for col in ("slope", "pvalue", "adj_r2", "eg_pvalue"):
             assert np.isnan(rows["Q1"][col]), (level, col)
         assert rows["Q1"]["n"] == 96
-        assert rep.notes == ["Q1: response is constant over its 96 bars; no fit"]
+        assert rep.notes == [f"Q1: {flat} is constant over its 96 bars; no fit"]
         assert all(np.isfinite(rows[q]["eg_pvalue"]) for q in ("Q2", "Q3", "Q4"))
 
 

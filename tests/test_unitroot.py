@@ -4,6 +4,9 @@ import pytest
 from goxlens.econometrics import adf, critical_values, default_max_lag, ols, unitroot
 from goxlens.econometrics.unitroot import _adf_tstat
 from goxlens.errors import DataError, DegenerateSeriesError
+from goxlens.features import STUDY_SERIES, WeeklyBucket, filter_stationary_weeks
+
+from conftest import MONDAY
 
 
 def test_critical_values_asymptotic_row():
@@ -81,11 +84,9 @@ def test_short_series_rejected():
 #
 # `_adf_tstat` picks the lag from one QR of the max-lag design. The reference
 # below is the per-lag search: one `ols` fit per lag on the common sample,
-# then the chosen lag refitted with `ols` on its own maximal sample.
-# Its design columns are scaled to unit norm, which leaves every RSS
-# unchanged in exact arithmetic. Without that, `ols`'s SVD loses most RSS
-# digits on a series near 1e9, where the level column is 1e9 times the
-# lagged differences.
+# then the chosen lag refitted with `ols` on its own maximal sample. Both
+# scale the design columns to unit norm, so on a series near 1e9, where the
+# level column is 1e9 times the lagged differences, no RSS loses its digits.
 
 TINY = np.finfo(float).tiny
 
@@ -96,12 +97,10 @@ def _design(y, lag, start):
     return dy[rows], np.column_stack([y[rows]] + [dy[rows - j] for j in range(1, lag + 1)])
 
 
-def _reference(y, max_lag, constant, scaled=True):
+def _reference(y, max_lag, constant):
     best = (np.inf, 0)
     for lag in range(max_lag + 1):
         dep, X = _design(y, lag, max_lag)
-        if scaled:
-            X = X / np.linalg.norm(X, axis=0)
         fit = ols(dep, X, intercept=constant)
         k = X.shape[1] + (1 if constant else 0)
         aic = np.log(max(fit.rss, TINY) / len(dep)) + 2.0 * k / len(dep)
@@ -158,13 +157,29 @@ def test_qr_lag_search_fits_ols_once(monkeypatch):
     assert res.lag <= default_max_lag(500)
 
 
-def test_rank_deficient_design_takes_the_per_lag_fallback(monkeypatch):
+def test_rank_deficient_design_is_degenerate():
     # differences repeat with period 2: the constant equals dy[t-1] + dy[t-2]
     # up to scale, and dy[t-1] equals dy[t-3], so the max-lag design loses rank
     y = np.cumsum(np.tile([1.0, -0.5], 100))
     max_lag = default_max_lag(len(y))
-    want = _reference(y, max_lag, True, scaled=False)
-    calls = _count_ols(monkeypatch)
-    got = _adf_tstat(y, max_lag, "aic", True)
-    assert len(calls) == max_lag + 2  # one fit per lag, then the refit
-    assert repr(got) == repr(want)
+    with pytest.raises(DegenerateSeriesError, match=f"max lag {max_lag} is rank deficient"):
+        _adf_tstat(y, max_lag, "aic", True)
+    # with a fixed lag the refit is the only fit, and `ols` flags its rank
+    with pytest.raises(DegenerateSeriesError, match=f"lag {max_lag} has rank"):
+        _adf_tstat(y, max_lag, "fixed", True)
+
+
+def test_one_nonzero_value_in_a_short_week_is_degenerate():
+    # over the max-lag sample of 48 points, the level and the first lagged
+    # differences of a series nonzero only at t=3 are all zero
+    y = np.zeros(48)
+    y[3] = 0.37
+    with pytest.raises(DegenerateSeriesError):
+        adf(y)
+    rng = np.random.default_rng(0)
+    series = {name: rng.standard_normal(48) for name in STUDY_SERIES}
+    series["wash"] = y
+    week = WeeklyBucket(MONDAY, {k: float(v.sum()) for k, v in series.items()}, series, 48)
+    retained, dropped = filter_stationary_weeks([week])
+    assert retained == []
+    assert dropped == [(MONDAY, "wash", "degenerate")]

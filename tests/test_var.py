@@ -50,9 +50,10 @@ def test_fit_on_deterministic_path_has_zero_residuals():
     assert np.max(np.abs(m.resid)) < 1e-8
     assert m.coefs[0] == pytest.approx(A1, abs=1e-10)
     # after a burn-in the path sits at the fixed point: constant up to
-    # round-off, so the lag design has no rank to fit
-    with pytest.raises(SingularityError):
+    # round-off, and named as constant
+    with pytest.raises(SingularityError, match=r"constant series: \['y0', 'y1'\]") as err:
         var_fit(_sim([A1], 400, seed=0, c=c, sigma=off), 1)
+    assert err.value.columns == ["y0", "y1"]
 
 
 def test_reconstruction_identity():
