@@ -25,7 +25,6 @@ from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .detect import FlaggedLedger, TimeWindow
 from .errors import DataError, DegenerateSeriesError
@@ -39,6 +38,9 @@ from .ingest import (
     AuxSeries,
     Source,
     _open_text,
+    _read_fixed,
+    _read_stamps,
+    _right_aligned,
     bin_sums,
     fmt_ts,
     format_fixed,
@@ -83,9 +85,6 @@ BARS_HEADER = ["start", "wash", "nonwash", "total", "dollar", "vwap", "amihud", 
 
 # The header line `to_csv` writes; `_read_canonical` takes only files that open with it
 _HEADER_LINE = ",".join(BARS_HEADER) + "\r\n"
-# Most whole digits `_read_canonical` takes in a fixed-point cell: every value
-# stays below 10**18 at either scale, so total and wash + nonwash fit in int64
-_MAX_WHOLE = {BTC_DECIMALS: 10, MONEY_DECIMALS: 13}
 # Longest float cell `_read_canonical` takes; repr() of a float is at most 24 long
 _MAX_FLOAT_WIDTH = 32
 
@@ -208,12 +207,8 @@ class BarSeries:
         Text in exactly the layout `to_csv` writes is read a column at a time;
         any other text, valid or not, is parsed row by row by `_parse_bar_row`.
         """
-        fh, should_close = _open_text(source)
-        try:
+        with _open_text(source, "bars") as fh:
             text = fh.read()
-        finally:
-            if should_close:
-                fh.close()
         columns = _read_canonical(text)
         if columns is None:
             columns = _read_rows(text)
@@ -285,22 +280,9 @@ def _read_canonical(text: str) -> Optional[tuple]:
         return cuts[:-1, 7] + 2 if k == 0 else hi[:, k - 1] + 1
 
     n = len(hi)
-    first = lo(0)
-    if np.any(hi[:, 0] - first != 19):
+    start = _read_stamps(buf, lo(0), hi[:, 0])
+    if start is None or not np.all(np.diff(start) == BAR_SECONDS):
         return None
-    a = int(first[0])
-    try:
-        start = parse_ts(text[a : a + 19]) + BAR_SECONDS * np.arange(n, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    for i in range(0, n, _BLOCK):
-        grid = np.datetime_as_string(start[i : i + _BLOCK].astype("datetime64[s]"))
-        if np.any(np.strings.str_len(grid) != 19):  # a year past 9999 or before 0
-            return None
-        grid = grid.astype("S19").view(np.uint8).reshape(len(grid), 19)
-        grid[:, 10] = ord(" ")  # fmt_ts puts a space where ISO has "T"
-        if not np.array_equal(_right_aligned(buf, hi[i : i + _BLOCK, 0], 19), grid):
-            return None
 
     fixed = [_read_fixed(buf, lo(k), hi[:, k], d) for k, d in zip((1, 2, 3, 4), (8, 8, 8, 5))]
     if any(c is None for c in fixed):
@@ -318,37 +300,6 @@ def _read_canonical(text: str) -> Optional[tuple]:
     except ValueError:
         return None
     return start, wash, nonwash, dollar, np.zeros(n, np.int64), vwap, amihud, rvol
-
-
-def _right_aligned(buf: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
-    """(len(hi), width) bytes: row i is buf[hi[i] - width:hi[i]].
-
-    Every cell `_read_canonical` reads has the header line (longer than any
-    width asked for) before it, so no window starts before the buffer.
-    """
-    return sliding_window_view(buf, width)[hi - width]
-
-
-def _read_fixed(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, decimals: int):
-    """Cells buf[lo:hi] spelled `<1.._MAX_WHOLE digits>.<decimals digits>` as int64, else None."""
-    width = _MAX_WHOLE[decimals] + 1 + decimals
-    size = hi - lo
-    if size.min() < decimals + 2 or size.max() > width:
-        return None
-    chars = _right_aligned(buf, hi, width)
-    point = width - 1 - decimals
-    if np.any(chars[:, point] != ord(".")):
-        return None
-    digits = chars - np.uint8(ord("0"))
-    digits[np.arange(width) < (width - size)[:, None]] = 0  # before the cell
-    digits[:, point] = 0
-    if np.any(digits > 9):
-        return None
-    value = np.zeros(len(hi), np.int64)
-    for c in range(width):
-        if c != point:
-            value = value * 10 + digits[:, c]
-    return value
 
 
 def _read_floats(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

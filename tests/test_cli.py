@@ -489,6 +489,33 @@ def test_malformed_bars_row_is_a_data_error(noise_bars_csv, tmp_path, capsys, ro
     assert "bars line 3" in capsys.readouterr().err
 
 
+def _break_utf8(path, line):
+    """A copy of the file at `path` with byte 0xff put into line `line` (1-based)."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:1] + b"\xff" + lines[line - 1][1:]
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("kind", ["trades", "aux", "bars"])
+def test_input_that_is_not_utf8_is_a_data_error(synth_dir, noise_bars_csv, tmp_path, capsys, kind):
+    bad = tmp_path / "bad.csv"
+    out = str(tmp_path / "o")
+    if kind == "trades":  # a canonical ledger with the byte in a user name
+        bad.write_bytes(_break_utf8(synth_dir / "trades.csv", 3))
+        args, name = ["detect", "--trades", str(bad), "--out", out], "trade log"
+    elif kind == "aux":
+        chain = tmp_path / "chain.csv"
+        chain.write_text(ONCHAIN_HEADER + f"\n{fmt_ts(MONDAY)},t1,a,output,1" * 2 + "\n")
+        bad.write_bytes(_break_utf8(chain, 3))
+        args = ["analyze", "onchain", "--bars", str(noise_bars_csv), "--aux", f"onchain={bad}"]
+        args, name = args + ["--out", out], "aux 'onchain'"
+    else:
+        bad.write_bytes(_break_utf8(noise_bars_csv, 3))
+        args, name = ["analyze", "event", "--bars", str(bad), "--out", out], "bars"
+    assert run(*args) == 2
+    assert f"goxlens: {name} line 3: not valid UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "study, column, cell", [("event", 6, "nan"), ("media", 7, "inf"), ("timing", 6, "-inf")]
 )

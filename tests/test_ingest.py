@@ -1,9 +1,11 @@
 import io
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from goxlens import ingest
 from goxlens.errors import DataError, PairingError, SchemaError
 from goxlens.ingest import (
     BTC_UNIT,
@@ -42,6 +44,22 @@ def test_parse_scaled_rejects_junk():
     for bad in ("", "abc", "1.2.3", "1e5", "+2", "-1.5", "0.123456789"):
         with pytest.raises(ValueError):
             parse_scaled(bad, 8)
+
+
+# digits of other scripts, and characters str.isdigit takes that int() refuses
+NON_ASCII_DIGITS = ["\u0663.5", "1.\u0665", "\u00b2", "\u0661\u0662\u0663", "\uff11.0"]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_DIGITS)
+def test_parse_scaled_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="malformed amount"):
+        parse_scaled(text, 8)
+
+
+@pytest.mark.parametrize("text", NON_ASCII_DIGITS)
+def test_parse_ts_takes_ascii_epoch_digits_only(text):
+    with pytest.raises(ValueError, match="bad timestamp"):
+        parse_ts(text)
 
 
 def test_format_scaled_round_trip():
@@ -161,6 +179,54 @@ def test_leak_row_parses_to_exact_amounts():
     assert pr.money_e5.tolist() == [2812392]
     assert pr.ts.tolist() == [parse_ts("2011-12-31 21:19:04")]
     assert pr.side.tolist() == [BUY] and pr.usd.tolist() == [True]
+
+
+def test_canonical_file_is_read_a_column_at_a_time_with_the_row_parsers_values(tmp_path):
+    led = ledger_of(canonical_csv(_dup_rows(40, 7)))
+    path = tmp_path / "trades.csv"
+    path.write_text(_rewrite(led)[1], newline="")
+    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as rows:
+        bulk = parse_trade_log(path, schema="canonical")
+        assert not rows.called
+        by_row = ingest._parse_rows(path, "canonical")
+    for name in ("ts", "bitcoins_e8", "money_e5", "user", "trade", "side", "usd"):
+        got, want = getattr(bulk, name), getattr(by_row, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert bulk.user_names.tolist() == by_row.user_names.tolist()
+    assert bulk.trade_ids.tolist() == by_row.trade_ids.tolist()
+    assert (bulk.row_errors, bulk.n_rows) == (by_row.row_errors, by_row.n_rows) == ([], 80)
+
+
+def test_text_off_the_canonical_layout_is_parsed_row_by_row():
+    text = _rewrite(ledger_of(canonical_csv(_dup_rows(5, 2))))[1]
+    for other in (text.replace("\r\n", "\n"), text.replace("b1,", '"b1",'), text + "\r\n"):
+        with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as rows:
+            parsed = parse_trade_log(io.StringIO(other), schema="canonical")
+        assert rows.called and len(parsed) == 10
+
+
+@pytest.mark.parametrize("block", [1024, 4096])
+def test_text_without_lf_is_given_up_after_one_block(block):
+    # CR line ends, which csv reads from a file: the bulk reader must not hold
+    # the whole text looking for an LF
+    text = _rewrite(ledger_of(canonical_csv(_dup_rows(100, 2))))[1].replace("\r\n", "\r")
+    fh = io.BytesIO(text.encode())
+    with mock.patch.object(ingest, "_TEXT_BLOCK", block):
+        assert ingest._read_canonical_log(fh) is None
+    assert fh.tell() == block < len(text)
+    assert len(parse_trade_log(io.BytesIO(text.encode()), schema="canonical")) == 200
+
+
+@pytest.mark.parametrize("wrap", [io.BytesIO, lambda data: io.BufferedReader(io.BytesIO(data))])
+def test_bytes_that_are_not_utf8_name_their_line(wrap):
+    text = "user_id,trade_id,timestamp,currency,bitcoins,money,side\r\n"
+    text += "u1,t1,2012-01-01 00:00:00,USD,1.00000000,1.00000,buy\r\n"
+    data = text.encode() + b"u\xff,t1,2012-01-01 00:00:00,USD,1.00000000,1.00000,sell\r\n"
+    with pytest.raises(DataError, match="trade log line 3: not valid UTF-8"):
+        parse_trade_log(wrap(data), schema="canonical")
+    data = b"date,volume_btc\r2012-01-01,1\r2012-01-02,\xe2\x82\r"
+    with pytest.raises(DataError, match="aux 'market_daily' line 3: not valid UTF-8"):
+        parse_aux(wrap(data), "market_daily")
 
 
 def test_header_only_file_is_empty():

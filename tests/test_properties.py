@@ -9,7 +9,11 @@ the parser accepts. On random half-row ledgers (unpaired ids, non-USD rows,
 ids seen three times) the dedup counts must match a brute-force recount. On
 random bar frames, the column-at-a-time bars.csv reader and the row parser
 must agree: the same frame and digest from canonical and respelled text, and
-the same error from a row broken in one cell. Aux series held as columns must
+the same error from a row broken in one cell. The same holds for trades.csv:
+on random ledgers written by `write_canonical_csv`, respelled copies and
+copies with one broken cell, the column-at-a-time reader and the row parser
+must give equal parse results, and the writer must match `csv.writer` byte
+for byte. Aux series held as columns must
 give what the per-point code gave: the same input digest on random series of
 every kind, the same on-chain sums per timestamp, the same on-chain bar bins
 and the same asset bars. Least squares must not depend on the data's scale:
@@ -17,6 +21,7 @@ an ADF statistic is unchanged by any scale and offset of the series, and an
 OLS t-value by any column's scale.
 """
 
+import csv
 import io
 import math
 from contextlib import nullcontext
@@ -27,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goxlens import features, studies
+from goxlens import features, ingest, studies
 from goxlens.econometrics import adf, ols
 from goxlens.detect import TimeWindow, flag_wash
 from goxlens.errors import DataError, PairingError
@@ -54,7 +59,9 @@ from goxlens.ingest import (
     parse_aux,
     parse_date,
     parse_scaled,
+    parse_trade_log,
     parse_ts,
+    write_canonical_csv,
 )
 
 from conftest import bars_from_arrays, canonical_csv, halves, ledger_of, trade_keys
@@ -396,8 +403,9 @@ def test_bulk_bars_reader_matches_the_row_parser(spec, data):
 
 
 BROKEN_CELLS = {
-    0: ["2012-01-01 25:00:00", "2012x01x01 00:00:00", "2012-01-01 00:00:0", "", "now"],
-    1: ["1.0x", "1.123456789", "-1.00000000", "+1.00000000", "1e3", ".", ""],
+    0: ["2012-01-01 25:00:00", "2012x01x01 00:00:00", "2012-01-01 00:00:0", "", "now",
+        "\u0661\u0662\u0663", "\u00b2"],
+    1: ["1.0x", "1.123456789", "-1.00000000", "+1.00000000", "1e3", ".", "", "\u0663.5", "\u00b2"],
     2: ["2.0.0", " ", "1,5"],
     3: ["9.00000000", "0.00000001"],
     4: ["1.000001", "0.0000a", "99999999999999.00000"],
@@ -423,6 +431,202 @@ def test_broken_bars_row_fails_alike_on_both_paths(spec, data):
         return
     assert bulk == rows
     assert rows.startswith(f"bars line {i + 1}: ") or rows.startswith("bar grid broken")
+
+
+# --- trades.csv codec: the column-at-a-time reader against the row parser ---
+
+# names in every class the bulk reader treats apart: plain, needing csv quotes,
+# blank at an end, non-ASCII; an empty one is a row error
+LOG_NAMES = ["u1", "~", "a,b", 'say "hi"', " pad", "pad ", "\u00e9", "\u65e5\u672c", "x\ny", "cr\r", "d\x7f", ""]
+name = st.one_of(
+    st.text(st.sampled_from("abz019_-.:/"), min_size=1, max_size=12), st.sampled_from(LOG_NAMES)
+)
+log_amount = st.one_of(st.just(0), st.integers(0, 10**12), st.integers(0, 2**63 - 1))
+log_trade = st.tuples(
+    name, name, name,  # trade id, buyer, seller
+    st.one_of(st.integers(FIRST_TS, LAST_TS), st.sampled_from([FIRST_TS, LAST_TS, 0, D0])),
+    log_amount, log_amount,
+)
+
+
+def _log_text(trades) -> str:
+    ids, buyers, sellers, ts, btc, money = (list(c) for c in zip(*trades)) if trades else ([],) * 6
+    buf = io.StringIO()
+    write_canonical_csv(
+        buf, ids, buyers, sellers, *(np.array(c, dtype=np.int64) for c in (ts, btc, money))
+    )
+    return buf.getvalue()
+
+
+def _parse_log(text: str, rows_only: bool, binary: bool = False):
+    """parse_trade_log over `text`, or with the bulk reader turned off."""
+    bulk_off = mock.patch.object(ingest, "_read_canonical_log", return_value=None)
+    source = io.BytesIO(text.encode()) if binary else io.StringIO(text)
+    with bulk_off if rows_only else nullcontext():
+        return parse_trade_log(source, schema="canonical")
+
+
+def _same_parse(a, b) -> bool:
+    columns = ("ts", "bitcoins_e8", "money_e5", "user", "trade", "side", "usd")
+    return (
+        all(
+            getattr(a, c).dtype == getattr(b, c).dtype
+            and getattr(a, c).tobytes() == getattr(b, c).tobytes()
+            for c in columns
+        )
+        and a.user_names.dtype == b.user_names.dtype == object
+        and a.user_names.tolist() == b.user_names.tolist()
+        and a.trade_ids.tolist() == b.trade_ids.tolist()
+        and a.row_errors == b.row_errors
+        and a.n_rows == b.n_rows
+    )
+
+
+def _plain(text: str) -> bool:
+    """A name the bulk reader takes: printable ASCII, no comma or quote, no blank at an end."""
+    return (
+        text.isascii() and text.isprintable() and text == text.strip() != "" and not set(text) & set(',"')
+    )
+
+
+@PROPERTY
+@given(st.lists(log_trade, max_size=12), st.booleans())
+def test_bulk_trade_log_reader_matches_the_row_parser(trades, binary):
+    text = _log_text(trades)
+    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as rows:
+        bulk = _parse_log(text, rows_only=False, binary=binary)
+    assert _same_parse(bulk, _parse_log(text, rows_only=True))
+    # the bulk reader must take every file in the layout, not just agree when it falls back
+    in_layout = all(
+        _plain(tid) and _plain(buyer) and _plain(seller) and max(btc, money) < 10**18
+        for tid, buyer, seller, _ts, btc, money in trades
+    )
+    assert rows.called == (not trades or not in_layout)
+
+
+@pytest.mark.parametrize("text", LOG_NAMES)
+def test_each_awkward_name_reads_alike_on_both_paths(text):
+    log = _log_text([("t0", text, "b", D0, 1, 2), (text, "a", text, D0 + 1, 3, 4)])
+    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as rows:
+        bulk = _parse_log(log, rows_only=False)
+    assert _same_parse(bulk, _parse_log(log, rows_only=True))
+    assert rows.called == (not _plain(text))
+
+
+plain_trade = st.tuples(
+    *(st.text(st.sampled_from("ab0"), min_size=1, max_size=3) for _ in range(3)),
+    st.integers(FIRST_TS, LAST_TS),
+    st.integers(0, 10**12),
+    st.integers(0, 10**12),
+)
+
+
+def _respell_log(text: str, data) -> str:
+    """The same half rows in other spellings `_parse_rows` reads, or (BUY, EUR) maps alike."""
+    eol = data.draw(st.sampled_from(["\r\n", "\n"]), label="line ending")
+    lines = text.split("\r\n")[:-1]
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        pick = lambda *options: data.draw(st.sampled_from(options))  # noqa: E731
+        cells[0] = pick(cells[0], f" {cells[0]}", f"{cells[0]} ")
+        cells[2] = pick(cells[2], cells[2].replace(" ", "T"))
+        cells[3] = pick("USD", " USD", "EUR")
+        for k in (4, 5):
+            whole, frac = cells[k].split(".")
+            frac = frac.rstrip("0")
+            cells[k] = pick(cells[k], f"{whole}.{frac}" if frac else whole)
+        cells[6] = pick(cells[6], cells[6].upper(), f" {cells[6]}")
+        cells = [f'"{c}"' if data.draw(st.booleans()) else c for c in cells]
+        out.append(",".join(cells))
+        if data.draw(st.integers(0, 9)) == 0:
+            out.append("")
+    return eol.join(out) + eol
+
+
+@PROPERTY
+@given(st.lists(plain_trade, min_size=1, max_size=10), st.data())
+def test_respelled_trade_log_parses_alike_on_both_paths(trades, data):
+    text = _log_text(trades)
+    bulk = _parse_log(text, rows_only=False)
+    respelled = _respell_log(text, data)
+    again = _parse_log(respelled, rows_only=False)
+    assert _same_parse(again, _parse_log(respelled, rows_only=True))
+    if "EUR" not in respelled:
+        assert _same_parse(again, bulk)
+
+
+BROKEN_LOG_CELLS = {
+    0: ["", " ", "\t"],
+    1: ["", "  "],
+    2: ["2012-02-30 00:00:00", "1900-02-29 00:00:00", "0000-01-01 00:00:00", "2012-01-01 24:00:00",
+        "2012-01-01 00:00", "10000-01-01 00:00:00", "\u0661\u0662\u0663", "\u00b2"],
+    3: ["usd", "US D", ""],
+    4: ["1.0x", "-1.00000000", "1.123456789", "\u0663.5", "\u00b2", "99999999999.00000000", ""],
+    5: ["1.000001", "0.0000a", "99999999999999.00000", "\u00b2"],
+    6: ["", "hold", "Sell", "buy\x00"],
+}
+
+
+@PROPERTY
+@given(st.lists(plain_trade, min_size=1, max_size=10), st.data())
+def test_broken_trade_log_row_fails_alike_on_both_paths(trades, data):
+    lines = _log_text(trades).split("\r\n")
+    i = data.draw(st.integers(1, len(lines) - 2), label="row")
+    cells = lines[i].split(",")
+    k = data.draw(st.sampled_from(sorted(BROKEN_LOG_CELLS)), label="cell")
+    cells[k] = data.draw(st.sampled_from(BROKEN_LOG_CELLS[k]), label="text")
+    lines[i] = ",".join(cells)
+    text = "\r\n".join(lines)
+    bulk, rows = _parse_log(text, rows_only=False), _parse_log(text, rows_only=True)
+    assert _same_parse(bulk, rows)
+    assert rows.n_rows == len(lines) - 2
+
+
+@pytest.mark.parametrize("k, cell", [(k, c) for k, cells in BROKEN_LOG_CELLS.items() for c in cells])
+def test_each_broken_trade_log_cell_fails_alike_on_both_paths(k, cell):
+    lines = _log_text([("t0", "a", "b", D0, 1, 2), ("t1", "b", "a", D0 + 1, 3, 4)]).split("\r\n")
+    cells = lines[3].split(",")
+    cells[k] = cell
+    lines[3] = ",".join(cells)
+    text = "\r\n".join(lines)
+    assert _same_parse(_parse_log(text, rows_only=False), _parse_log(text, rows_only=True))
+
+
+def test_block_boundary_inside_a_name_run_changes_nothing(tmp_path):
+    # one buyer and one seller across 40 trades: every block boundary cuts a
+    # run of equal user names, and most cut a trade's two halves apart
+    n = 40
+    text = _log_text([(f"t{i}", "buyer", "seller", D0 + i, i, 2 * i) for i in range(n)])
+    path = tmp_path / "trades.csv"
+    path.write_text(text, newline="")
+    whole = parse_trade_log(path, schema="canonical")
+    assert _same_parse(whole, _parse_log(text, rows_only=True))
+    for block in (53, 97, 128, 1000):  # a block cut inside a line waits for the line's end
+        with mock.patch.object(ingest, "_TEXT_BLOCK", block), mock.patch.object(
+            ingest, "_read_log_block", wraps=ingest._read_log_block
+        ) as read:
+            cut = parse_trade_log(path, schema="canonical")
+        assert read.call_count > 1 and all(c.args[0] for c in read.call_args_list)
+        assert _same_parse(cut, whole)
+    assert whole.user_names.tolist() == ["buyer", "seller"] and len(whole.trade_ids) == n
+
+
+@PROPERTY
+@given(st.lists(st.tuples(name, name, name), max_size=8), st.data())
+def test_trade_log_writer_matches_csv_writer(names, data):
+    n = len(names)
+    ts, btc, money = (data.draw(st.lists(c, min_size=n, max_size=n)) for c in (
+        st.integers(FIRST_TS, LAST_TS), st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)
+    ))
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["user_id", "trade_id", "timestamp", "currency", "bitcoins", "money", "side"])
+    for (tid, buyer, seller), t, b, m in zip(names, ts, btc, money):
+        cells = [fmt_ts(t), "USD", _spelled(b, BTC_DECIMALS), _spelled(m, MONEY_DECIMALS)]
+        writer.writerow([buyer, tid, *cells, "buy"])
+        writer.writerow([seller, tid, *cells, "sell"])
+    assert _log_text([(*c, t, b, m) for c, t, b, m in zip(names, ts, btc, money)]) == want.getvalue()
 
 
 # --- aux series as columns ---------------------------------------------------
